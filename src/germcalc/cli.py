@@ -17,7 +17,6 @@ from .coeff_bounds import construct_weights
 from .discrete_ops import (PRESETS, continuum_symbol, discrete_symbol,
                            is_discretely_elliptic, load_operator, preset_operator)
 from .errors import GermCalcError, ValidationError
-from .geometry import Scaling
 from .germs import field_from_text, field_to_text, load_germ
 from .liouville import kernel_basis_to_text, polynomial_kernel, symbol_zero_search
 from .norms import (mcshane_extend, norm_G_eta, seminorm_G_eta_alpha,
@@ -203,6 +202,8 @@ def _cmd_liouville(args) -> int:
         payload = {"dimension": basis.dimension,
                    "monomials": [list(g) for g in basis.gammas],
                    "vectors": basis.vectors.real.tolist()}
+        if np.iscomplexobj(basis.vectors):
+            payload["vectors_imag"] = basis.vectors.imag.tolist()
         if zeros is not None:
             payload["zeros"] = [{"theta": list(z.theta), "symbol_abs": z.symbol_abs,
                                  "residual": z.residual_inf} for z in zeros]
@@ -221,7 +222,7 @@ def _cmd_liouville(args) -> int:
 
 
 def _cmd_weights(args) -> int:
-    scaling = Scaling(tuple(int(x) for x in args.scaling.split(",")))
+    scaling = harness.parse_scaling(args.scaling)
     system = construct_weights(scaling, args.eta, args.delta)
     ok, worst = system.verify()
     if args.json:

@@ -20,7 +20,8 @@ from .discrete_ops import (DiffOperator, apply_to_germ, fft_symbol_grid,
                            apply_to_field, load_operator, preset_operator)
 from .errors import IllPosedSourceError, ValidationError
 from .geometry import ScaleMap, Scaling
-from .germs import Germ, Window, frozen_coefficient_germ, jet_germ, load_germ, restrict_initial, scale_germ
+from .germs import (MAX_POINTS_PER_AXIS, Germ, Window, frozen_coefficient_germ, jet_germ,
+                    load_germ, restrict_initial, scale_germ)
 from .norms import (build_default_family, norm_G_eta, seminorm_G_eta_alpha,
                     seminorm_G_gamma, sup_below)
 
@@ -69,6 +70,12 @@ class ExperimentConfig:
             raise ValidationError("ensemble size must be >= 1")
         if self.radius < 1:
             raise ValidationError("window radius must be >= 1")
+        points = max(2 * self.radius, self.time_extent or 0) + 1
+        if points > MAX_POINTS_PER_AXIS:
+            extent = "" if self.time_extent is None else f" and time extent {self.time_extent}"
+            raise ValidationError(
+                f"a window of radius {self.radius}{extent} has {points} points on an axis; "
+                f"at most {MAX_POINTS_PER_AXIS} are allowed")
         if any(e <= 0 for e in self.eps_list):
             raise ValidationError("grid scales must be positive")
         if self.germ not in ("jet", "frozen", "file"):
@@ -353,8 +360,17 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "germ": cfg.germ, "germ_file": cfg.germ_file or "",
         "source_scale": cfg.source_scale,
         "time_extent": "" if cfg.time_extent is None else cfg.time_extent,
+        "allow_integer_orders": cfg.allow_integer_orders,
         "threads": cfg.threads,
     }
+
+
+def parse_scaling(text) -> Scaling:
+    """Grading from comma-separated axis weights, such as ``"2,1"``."""
+    try:
+        return Scaling(tuple(int(x) for x in str(text).split(",")))
+    except ValueError as exc:
+        raise ValidationError(f"invalid scaling {text!r}: {exc}") from None
 
 
 def parse_config_text(text: str) -> dict:
@@ -375,7 +391,7 @@ def config_from_mapping(kv: dict) -> ExperimentConfig:
         v = kv.get(key, default)
         return default if v in ("", None) else v
 
-    scaling = Scaling(tuple(int(x) for x in str(get("scaling", "1,1")).split(",")))
+    scaling = parse_scaling(get("scaling", "1,1"))
     eps_raw = str(get("eps", "1"))
     te = get("time_extent")
     return ExperimentConfig(
@@ -392,7 +408,7 @@ def config_from_mapping(kv: dict) -> ExperimentConfig:
         germ_file=get("germ_file"),
         source_scale=float(get("source_scale", 1.0)),
         time_extent=None if te is None else int(te),
-        allow_integer_orders=str(get("allow_integer_orders", "0")) in ("1", "true", "yes"),
+        allow_integer_orders=str(get("allow_integer_orders", "0")).lower() in ("1", "true", "yes"),
         threads=int(get("threads", 1)),
     )
 

@@ -94,12 +94,13 @@ def polynomial_kernel(L: DiffOperator, eps: float, eta: float) -> KernelBasis:
     A = np.stack(cols, axis=1)
     if np.iscomplexobj(A) and np.all(A.imag == 0):
         A = A.real
+    # null vectors of A are the conjugated rows of Vh (A = U S Vh)
     U_, sv, Vh = np.linalg.svd(A, full_matrices=True)
     smax = sv[0] if sv.size else 0.0
     if smax == 0:
         vectors = np.eye(len(gammas))
     else:
-        null_rows = [Vh[i] for i in range(Vh.shape[0])
+        null_rows = [Vh[i].conj() for i in range(Vh.shape[0])
                      if i >= sv.size or sv[i] <= _SVD_CUTOFF * smax]
         vectors = (np.stack(null_rows) if null_rows
                    else np.zeros((0, len(gammas))))
@@ -214,5 +215,8 @@ def kernel_basis_to_text(basis: KernelBasis) -> str:
              f"dim={basis.dimension}",
              "# monomials: " + " | ".join(",".join(map(str, g)) for g in basis.gammas)]
     for row in basis.vectors:
-        lines.append(",".join("%.17g" % float(x) for x in row.real))
+        if np.iscomplexobj(row):  # operators with complex coefficients
+            lines.append(",".join("%.17g%+.17gj" % (x.real, x.imag) for x in row))
+        else:
+            lines.append(",".join("%.17g" % float(x) for x in row))
     return "\n".join(lines) + "\n"

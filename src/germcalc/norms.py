@@ -333,6 +333,16 @@ def seminorm_G_eta_alpha(U: Germ, eta: float, alpha: float, R: float | None = No
     B = base.coords()
     A = act.coords()
     Dxy = scaling.pairwise_distance(B, B)
+    pairs = Dxy > 0
+    if R is not None:
+        pairs &= Dxy < R
+    # the weights see x only through d(x, y): number the distinct distances
+    # once per call; per y, weights and normal matrices are built once per
+    # distance class in use and gathered per x
+    dist, dist_class = np.unique(Dxy, return_inverse=True)
+    dist_class = dist_class.reshape(Dxy.shape)
+    in_use = np.zeros((base.npoints, dist.size), dtype=bool)
+    in_use[np.nonzero(pairs)[1], dist_class[pairs]] = True
     base_idx = base.indices()
     a_pos = np.array([act.flat(base_idx[i]) for i in range(base.npoints)])
 
@@ -340,37 +350,39 @@ def seminorm_G_eta_alpha(U: Germ, eta: float, alpha: float, R: float | None = No
     for yf in range(base.npoints):
         dyz = scaling.pairwise_distance(B[yf][None, :], A)[0]
         zmask = dyz > 0
-        xs = np.nonzero(Dxy[:, yf] > 0)[0]
         if R is not None:
             zmask &= dyz < R
-            xs = xs[Dxy[xs, yf] < R]
+        xs = np.nonzero(pairs[:, yf])[0]
         if xs.size == 0 or not zmask.any():
             continue
-        r_full = U.values[xs] - U.values[yf][None, :]
-        r = r_full[:, zmask] - r_full[:, a_pos[yf]][:, None]
-        W = (_pow_dist(dyz[zmask], alpha)[None, :] *
-             _pow_dist(Dxy[xs, yf][:, None] + dyz[zmask][None, :], eta - alpha))
+        zs = np.nonzero(zmask)[0]
+        # r[x, z] = (U_x - U_y)(z) - (U_x - U_y)(y); a row take then a column
+        # take copies faster than one np.ix_ gather
+        r = U.values[xs].take(zs, axis=1)
+        r -= U.values[yf, zs]
+        r -= (U.values[xs, a_pos[yf]] - U.values[yf, a_pos[yf]])[:, None]
+        of_x = (np.cumsum(in_use[yf]) - 1)[dist_class[xs, yf]]   # row of Wc for each x
+        dz = dyz[zs]
+        Wc = (_pow_dist(dz, alpha)[None, :] *
+              _pow_dist(dist[in_use[yf]][:, None] + dz[None, :], eta - alpha))
         if p == 0:
-            ub = np.max(np.abs(r) / W, axis=1)
+            ub = np.max(np.abs(r) / Wc[of_x], axis=1)
             lb = ub  # no free coefficients: the bound is the exact value
         else:
-            Phi = _poly_columns(A[zmask] - B[yf][None, :], gammas)
-            Winv2 = 1.0 / (W * W)
-            Amat = np.einsum("xz,zp,zq->xpq", Winv2, Phi, Phi)
-            ridge = 1e-13 * np.maximum(np.trace(Amat, axis1=1, axis2=2), 1e-300)
-            Amat += ridge[:, None, None] * np.eye(p)[None, :, :]
-            if np.iscomplexobj(r):
-                bvec = np.einsum("xz,zp->xp", r.real * Winv2, Phi) + \
-                    1j * np.einsum("xz,zp->xp", r.imag * Winv2, Phi)
-            else:
-                bvec = np.einsum("xz,zp->xp", r * Winv2, Phi)
-            C = np.linalg.solve(Amat, bvec[..., None])[..., 0]
-            res = r - np.einsum("zp,xp->xz", Phi, C)
-            ub = np.max(np.abs(res) / W, axis=1)
-            lb = _dual_lower_bound(Phi, r, W, dyz[zmask], p)
+            Phi = _poly_columns(A[zs] - B[yf][None, :], gammas)
+            PhiPhi = (Phi[:, :, None] * Phi[:, None, :]).reshape(zs.size, p * p)
+            Winv2 = 1.0 / (Wc * Wc)
+            Ac = (Winv2 @ PhiPhi).reshape(-1, p, p)
+            ridge = 1e-13 * np.maximum(np.trace(Ac, axis1=1, axis2=2), 1e-300)
+            Ac += ridge[:, None, None] * np.eye(p)[None, :, :]
+            bvec = (r * Winv2[of_x]) @ Phi
+            C = np.linalg.solve(Ac[of_x], bvec[..., None])[..., 0]
+            res = r - C @ Phi.T
+            ub = np.max(np.abs(res) / Wc[of_x], axis=1)
+            lb = _dual_lower_bound(Phi, r, Wc, of_x, dz, p)
         cand_ub.append(ub)
         cand_lb.append(lb)
-        cand_wmin.append(np.min(W, axis=1))
+        cand_wmin.append(np.min(Wc, axis=1)[of_x])
         cand_x.append(xs)
         cand_y.append(np.full(xs.size, yf))
     if not cand_ub:
@@ -385,15 +397,18 @@ def seminorm_G_eta_alpha(U: Germ, eta: float, alpha: float, R: float | None = No
     noise = 1e-12 * float(np.max(np.abs(U.values)))
     quiet = ub * wmin <= noise
     # pairs whose upper bound cannot reach the best certified lower bound
-    # cannot realize the max and are never solved exactly
+    # cannot realize the max and are never solved exactly.  Complex data is
+    # solved with real and imaginary parts apart, which may land up to
+    # sqrt(2) above the least-squares fit, so its bound is widened by that
+    reach = ub * math.sqrt(2) if np.iscomplexobj(U.values) else ub
     floor = float(np.max(lb)) * (1 - 1e-12)
-    keep = np.nonzero(~quiet & (ub >= floor))[0]
+    keep = np.nonzero(~quiet & (reach >= floor))[0]
     order = keep[np.lexsort((ys[keep], xs[keep], -ub[keep]))]
 
     best = -1.0
     bw: dict = {}
     for i in order:
-        if best >= 0 and ub[i] <= best * (1 + 1e-12) + 1e-300:
+        if best >= 0 and reach[i] <= best * (1 + 1e-12) + 1e-300:
             break
         val, coeffs, _ = pair_minimax(U, int(xs[i]), int(ys[i]), eta, alpha, R, method)
         if val > best:
@@ -413,14 +428,15 @@ def seminorm_G_eta_alpha(U: Germ, eta: float, alpha: float, R: float | None = No
     return NormReport(name, max(best, 0.0), params, bw, window_descriptor(U))
 
 
-def _dual_lower_bound(Phi: np.ndarray, r: np.ndarray, W: np.ndarray,
-                      dyz: np.ndarray, p: int) -> np.ndarray:
+def _dual_lower_bound(Phi: np.ndarray, r: np.ndarray, Wc: np.ndarray,
+                      of_x: np.ndarray, dyz: np.ndarray, p: int) -> np.ndarray:
     """Certified per-pair lower bounds from one shared reference subset.
 
     Any p+1 points with a null vector of the design columns give, by weak
     duality, ``|y . r| / sum(|y| w) <= minimax``.  The subset nearest the
     pinned point (smallest weights) is shared across all x for this y, so
-    the bound vectorizes over pairs.
+    the bound vectorizes over pairs.  Row ``of_x[i]`` of ``Wc`` holds the
+    weights of pair i.
     """
     n = Phi.shape[0]
     if n < p + 1:
@@ -430,7 +446,7 @@ def _dual_lower_bound(Phi: np.ndarray, r: np.ndarray, W: np.ndarray,
     if sv.size < p or sv[-1] <= 1e-13 * max(sv[0], 1e-300):
         return np.zeros(r.shape[0])
     y = Vh[-1]
-    den = W[:, S] @ np.abs(y)
+    den = (Wc[:, S] @ np.abs(y))[of_x]
     num = np.abs(r[:, S] @ y)
     return np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
 

@@ -131,6 +131,47 @@ def test_probe_invalid_orders_exit_one(tmp_path, capsys):
     assert "eta" in err or "alpha" in err
 
 
+def test_probe_window_too_large_exits_one(capsys):
+    code, _, err = run_cli(capsys, "probe", "--scaling", "1", "--window", "40")
+    assert code == 1
+    assert err.startswith("germcalc: invalid input:") and err.count("\n") == 1
+    assert "33" in err
+
+
+def test_malformed_scaling_exits_one(capsys):
+    for argv in (("probe", "--scaling", "1,x", "--window", "4"),
+                 ("probe", "--scaling", "0", "--window", "4"),
+                 ("weights", "--scaling", "2,x", "--eta", "3.5", "--delta", "0.1")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("germcalc: invalid input: invalid scaling")
+        assert err.count("\n") == 1
+
+
+def test_liouville_complex_operator(capsys):
+    # the Cauchy-Riemann kernel up to degree 1.5 is span{1, x + iy}
+    code, out, _ = run_cli(capsys, "liouville", "--preset", "cauchy-riemann",
+                           "--eta", "1.5", "--json")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["dimension"] == 2
+    vecs = np.array(rec["vectors"]) + 1j * np.array(rec["vectors_imag"])
+    monomials = [tuple(g) for g in rec["monomials"]]
+    z = np.zeros(len(monomials), dtype=complex)
+    z[monomials.index((1, 0))] = 1.0
+    z[monomials.index((0, 1))] = 1j
+    sol, *_ = np.linalg.lstsq(vecs.T, z, rcond=None)
+    assert np.linalg.norm(vecs.T @ sol - z) <= 1e-8
+    code, out, _ = run_cli(capsys, "liouville", "--preset", "cauchy-riemann",
+                           "--eta", "1.5")
+    assert code == 0 and "dimension at cutoff 1.5: 2" in out
+    assert out.strip().splitlines()[-1].endswith("j")
+    # real operators keep real-only output
+    code, out, _ = run_cli(capsys, "liouville", "--preset", "laplacian",
+                           "--eta", "1.5", "--json")
+    assert "vectors_imag" not in json.loads(out)
+
+
 def test_extend_command(tmp_path, capsys):
     s = Scaling((1,))
     w = Window(s, 1.0, (0,), (8,))

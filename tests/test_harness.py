@@ -144,13 +144,16 @@ def test_config_validation_errors():
         ExperimentConfig(Scaling((1,)), eta=1.5, alpha=0.5, ensemble=0).validate()
     with pytest.raises(ValidationError):
         ExperimentConfig(Scaling((1,)), eta=1.5, alpha=0.5, germ="file").validate()
+    with pytest.raises(ValidationError):  # 81 points per axis, above the window cap
+        ExperimentConfig(Scaling((1,)), eta=1.5, alpha=0.5, radius=40).validate()
     assert cfg.validate().order == 2
 
 
 def test_config_round_trip(tmp_path):
     cfg = ExperimentConfig(Scaling((2, 1)), operator="heat", eta=1.7, alpha=0.3,
                            radius=5, eps_list=(1.0, 0.5), ensemble=4, seed=99,
-                           germ="jet", time_extent=10)
+                           germ="jet", time_extent=10, allow_integer_orders=True)
+    assert config_from_mapping(config_to_dict(cfg)) == cfg
     text = "\n".join(f"{k}={v}" for k, v in config_to_dict(cfg).items())
     path = tmp_path / "probe.cfg"
     path.write_text(text + "\n# comment line\n")

@@ -141,3 +141,17 @@ def test_kernel_basis_text():
     text = kernel_basis_to_text(basis)
     assert "kernel-basis" in text
     assert text.count("\n") == basis.dimension + 3  # banner, meta, monomial list
+
+
+def test_kernel_complex_operator_cauchy_riemann():
+    # complex null vectors are the conjugated rows of the SVD's Vh
+    L = preset_operator("cauchy-riemann", 2)
+    basis = polynomial_kernel(L, 1.0, 1.5)
+    assert basis.dimension == 2
+    gammas = list(basis.gammas)
+    z = np.zeros(len(gammas), dtype=complex)
+    z[gammas.index((1, 0))] = 1.0
+    z[gammas.index((0, 1))] = 1j
+    assert basis.contains(z)
+    assert not basis.contains(z.conj())
+    assert polynomial_kernel(L, 1.0, 2.5).dimension == 3  # 1, z, z^2

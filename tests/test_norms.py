@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from germcalc import (DistGerm, Germ, ScaleMap, Scaling, apply_to_germ,
                       build_default_family, holder_bound_ratio, holder_local,
@@ -499,3 +500,46 @@ def test_eta_alpha_full_brute_force_oracle(rng):
                     slack = lip * step * np.sqrt(max(Phi.shape[1], 1))
         assert rep.value <= worst + 1e-9
         assert worst - rep.value <= slack + 1e-9
+
+
+def _screen_oracle(U, eta, alpha, R):
+    """Brute force: the max of pair_minimax over every admissible base pair."""
+    B = U.base.coords()
+    D = U.scaling.pairwise_distance(B, B)
+    Dz = U.scaling.pairwise_distance(B, U.active.coords())
+    best = 0.0
+    for xf, yf in zip(*np.nonzero(D > 0)):
+        if R is not None and not (D[xf, yf] < R and np.any((Dz[yf] > 0) & (Dz[yf] < R))):
+            continue
+        best = max(best, pair_minimax(U, int(xf), int(yf), eta, alpha, R)[0])
+    return best
+
+
+# (grading, eta, window half-width): p = 0, 1 or 2 free coefficients
+@given(st.sampled_from([((1,), 0.7, 3), ((1,), 1.5, 2), ((1,), 1.5, 3), ((1,), 2.5, 3),
+                        ((1, 1), 0.7, 1), ((1, 1), 1.5, 1), ((2, 1), 0.7, 1),
+                        ((2, 1), 1.5, 1)]),
+       st.booleans(), st.booleans(), st.sampled_from([None, 1.5, 2.5]),
+       st.integers(0, 2 ** 32 - 1))
+# a complex germ whose split real/imaginary solve lands above the
+# least-squares bound of a pair that bound alone would prune
+@example(((1, 1), 1.5, 1), True, False, None, 7)
+@settings(max_examples=40, deadline=None)
+def test_eta_alpha_screen_matches_pair_oracle(case, complex_values, inner_base, R, seed):
+    s, eta, half = Scaling(case[0]), case[1], case[2]
+    alpha = eta / 3
+    rng = np.random.default_rng(seed)
+    active = box(s, 1.0, half)
+    base = active.shrink(hi_margin=(1,) * s.d) if inner_base else active
+    vals = rng.standard_normal((base.npoints, active.npoints))
+    if complex_values:
+        vals = vals + 1j * rng.standard_normal(vals.shape)
+    U = Germ(base, active, vals)
+    rep = seminorm_G_eta_alpha(U, eta, alpha, R=R)
+    oracle = _screen_oracle(U, eta, alpha, R)
+    # pairs at the germ's noise level (fit bound times weight <= 1e-12 sup|U|;
+    # all weights are >= 1 at eps = 1) keep a least-squares bound, and only
+    # the largest of them is solved, so they agree up to that level
+    noise = 1e-12 * float(np.max(np.abs(vals)))
+    assert abs(rep.value - oracle) <= 1e-12 * oracle + noise
+    assert reevaluate_report(rep, U) == rep.value
