@@ -19,7 +19,7 @@ from .norms import (NormReport, RatioDiagnostic, TestFunctionFamily,
 from .liouville import (KernelBasis, SymbolZero, centered_rigidity_check,
                         polynomial_kernel, symbol_zero_search)
 from .coeff_bounds import (ProbeReport, WeightSystem, construct_weights,
-                           index_set, probe_coefficients)
+                           probe_coefficients)
 from .harness import (ExperimentConfig, RatioReport, member_rng, run_ivp_probe,
                       run_local_probe, run_schauder_probe, schauder_sides,
                       solve_poisson, summarize)

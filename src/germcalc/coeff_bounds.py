@@ -22,12 +22,6 @@ from .geometry import MultiIndex, Scaling, multi_indices
 from .germs import Germ
 
 
-def index_set(scaling: Scaling, eta: float) -> list[MultiIndex]:
-    """Multi-indices of weighted degree <= eta, ordered by degree then
-    lexicographically (first differing component decides)."""
-    return multi_indices(scaling, eta)
-
-
 def first_differing_component(beta: MultiIndex, gamma: MultiIndex) -> int:
     for j, (b, g) in enumerate(zip(beta, gamma)):
         if b != g:
@@ -98,14 +92,26 @@ def _pow2_at_least(bound: Fraction) -> int:
 
 
 def _int_root_at_least(bound: Fraction, q: int) -> int:
-    if bound <= 1:
+    """Least integer r >= 1 with r**q >= bound, in exact integer arithmetic.
+
+    Since r**q is an integer, r**q >= bound exactly when r**q >= ceil(bound);
+    r is bracketed by doubling and then bisected (bounds reach 1e21 and more,
+    beyond what a float root can resolve).
+    """
+    n = math.ceil(bound)
+    if n <= 1:
         return 1
-    r = max(1, int(round(float(bound) ** (1.0 / q))))
-    while Fraction(r) ** q < bound:
-        r += 1
-    while r > 1 and Fraction(r - 1) ** q >= bound:
-        r -= 1
-    return r
+    hi = 2
+    while hi ** q < n:
+        hi *= 2
+    lo = hi // 2  # lo**q < n <= hi**q
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid ** q >= n:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def construct_weights(scaling: Scaling, eta: float, delta: float) -> WeightSystem:
@@ -125,7 +131,7 @@ def construct_weights(scaling: Scaling, eta: float, delta: float) -> WeightSyste
     """
     if not delta > 0:
         raise ValidationError("delta must be positive")
-    A = index_set(scaling, eta)
+    A = multi_indices(scaling, eta)
     if not A:
         raise ValidationError("empty index set: eta is below every degree")
     d = scaling.d
@@ -239,7 +245,7 @@ def probe_coefficients(U: Germ, x_idx, y_idx, eta: float, alpha: float,
     xc = np.array(x_idx, dtype=float) * np.array(steps)
     yc = np.array(y_idx, dtype=float) * np.array(steps)
     dist = scaling.distance(xc, yc)
-    A = index_set(scaling, eta)
+    A = multi_indices(scaling, eta)
     probes = []
     lattice_pts = []
     for beta in A:

@@ -10,6 +10,7 @@ forward differences.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -186,22 +187,37 @@ def dual_torus_bounds(scaling: Scaling, eps: float) -> tuple[float, ...]:
     return tuple(math.pi * eps ** (-s) for s in scaling.s)
 
 
+def _frequency_columns(L: DiffOperator, freq):
+    """Per-axis components of the frequencies and a zero accumulator.
+
+    A single point (1-D input) gives Python floats and ``0j``: the symbol
+    loops then run on Python ``complex`` values, which for the one-point
+    calls of the Nelder-Mead refinements costs a small fraction of numpy's
+    per-call overhead on length-1 arrays.  A batch gives array columns and a
+    zero array.
+    """
+    freq = np.asarray(freq, dtype=float)
+    if freq.ndim == 1:
+        if freq.shape[0] != L.d:
+            raise DimensionError("frequency must have d components")
+        return freq.tolist(), 0j
+    F = np.atleast_2d(freq)
+    if F.shape[-1] != L.d:
+        raise DimensionError("frequency must have d components")
+    return F.T, np.zeros(F.shape[0], dtype=complex)
+
+
 def continuum_symbol(L: DiffOperator, xi) -> complex | np.ndarray:
     """Polynomial symbol ``sum a (i xi)**(gamma + delta)``."""
-    xi = np.asarray(xi, dtype=float)
-    single = xi.ndim == 1
-    X = np.atleast_2d(xi)
-    if X.shape[-1] != L.d:
-        raise DimensionError("frequency must have d components")
-    out = np.zeros(X.shape[0], dtype=complex)
+    X, out = _frequency_columns(L, xi)
     for g, dl, a in L.terms:
-        term = np.full(X.shape[0], a, dtype=complex)
+        term = complex(a)
         for j in range(L.d):
             n = g[j] + dl[j]
             if n:
-                term = term * (1j * X[:, j]) ** n
+                term = term * (1j * X[j]) ** n
         out += term
-    return complex(out[0]) if single else out
+    return out
 
 
 def discrete_symbol(L: DiffOperator, eps: float, theta) -> complex | np.ndarray:
@@ -209,27 +225,23 @@ def discrete_symbol(L: DiffOperator, eps: float, theta) -> complex | np.ndarray:
     ``eps**-s_j (exp(i eps**s_j theta_j) - 1)`` and its reflected conjugate."""
     if isinstance(theta, DualPoint):
         theta = theta.theta
-    theta = np.asarray(theta, dtype=float)
-    single = theta.ndim == 1
-    T = np.atleast_2d(theta)
-    if T.shape[-1] != L.d:
-        raise DimensionError("frequency must have d components")
+    T, out = _frequency_columns(L, theta)
+    exp = cmath.exp if isinstance(out, complex) else np.exp
     fwd = []
     bwd = []
     for j, s in enumerate(L.scaling.s):
         h = eps ** s
-        fwd.append((np.exp(1j * h * T[:, j]) - 1.0) / h)
-        bwd.append((1.0 - np.exp(-1j * h * T[:, j])) / h)
-    out = np.zeros(T.shape[0], dtype=complex)
+        fwd.append((exp(1j * h * T[j]) - 1.0) / h)
+        bwd.append((1.0 - exp(-1j * h * T[j])) / h)
     for g, dl, a in L.terms:
-        term = np.full(T.shape[0], a, dtype=complex)
+        term = complex(a)
         for j in range(L.d):
             if g[j]:
                 term = term * fwd[j] ** g[j]
             if dl[j]:
                 term = term * bwd[j] ** dl[j]
         out += term
-    return complex(out[0]) if single else out
+    return out
 
 
 def fft_symbol_grid(L: DiffOperator, eps: float, shape: tuple[int, ...]) -> np.ndarray:

@@ -18,6 +18,7 @@ from .errors import (
     DimensionError,
     DomainTooSmallError,
     LatticeCompatibilityError,
+    ValidationError,
 )
 from .geometry import MultiIndex, ScaleMap, Scaling, multi_indices
 
@@ -442,22 +443,40 @@ def _parse_ints(t) -> tuple[int, ...]:
 
 
 def germ_from_text(text: str) -> Germ:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    fields = dict(kv.split("=", 1) for kv in lines[0].split())
-    scaling = Scaling(_parse_ints(fields["s"].replace(",", ";")))
-    eps = float(fields["eps"])
-    base = Window(scaling, eps, _parse_ints(fields["base_lo"]), _parse_ints(fields["base_hi"]))
-    active = Window(scaling, eps, _parse_ints(fields["act_lo"]), _parse_ints(fields["act_hi"]))
+    """Parse ``germ_to_text`` output; malformed text raises ValidationError
+    naming the offending line."""
+    rows = [(no, ln) for no, ln in enumerate(text.splitlines(), 1)
+            if ln.strip() and not ln.startswith("#")]
+    if not rows:
+        raise ValidationError("germ file has no header line")
+    no, head = rows[0]
+    try:
+        fields = dict(kv.split("=", 1) for kv in head.split())
+        scaling = Scaling(_parse_ints(fields["s"].replace(",", ";")))
+        eps = float(fields["eps"])
+        base = Window(scaling, eps, _parse_ints(fields["base_lo"]), _parse_ints(fields["base_hi"]))
+        active = Window(scaling, eps, _parse_ints(fields["act_lo"]), _parse_ints(fields["act_hi"]))
+    except KeyError as exc:
+        raise ValidationError(f"germ header (line {no}) has no {exc.args[0]}= field") from None
+    except ValueError as exc:
+        raise ValidationError(f"germ header (line {no}): {exc}") from None
     vals = np.zeros((base.npoints, active.npoints), dtype=complex)
     seen = np.zeros(vals.shape, dtype=bool)
-    for ln in lines[1:]:
-        bidx, aidx, re, im = ln.split(",")
-        b = base.flat(_parse_ints(bidx))
-        a = active.flat(_parse_ints(aidx))
-        vals[b, a] = float(re) + 1j * float(im)
+    for no, ln in rows[1:]:
+        parts = ln.split(",")
+        if len(parts) != 4:
+            raise ValidationError(
+                f"germ line {no}: expected 4 comma-separated fields, got {len(parts)}")
+        bidx, aidx, re, im = parts
+        try:
+            b = base.flat(_parse_ints(bidx))
+            a = active.flat(_parse_ints(aidx))
+            vals[b, a] = float(re) + 1j * float(im)
+        except ValueError as exc:
+            raise ValidationError(f"germ line {no}: {exc}") from None
         seen[b, a] = True
     if not seen.all():
-        raise ValueError("germ file is missing base/active pairs")
+        raise ValidationError("germ file is missing base/active pairs")
     if np.all(vals.imag == 0):
         vals = vals.real
     cls = DistGerm if fields.get("kind") == "dist" else Germ

@@ -387,29 +387,38 @@ def parse_config_text(text: str) -> dict:
 
 
 def config_from_mapping(kv: dict) -> ExperimentConfig:
-    def get(key, default=None):
-        v = kv.get(key, default)
-        return default if v in ("", None) else v
+    def get(key, convert, default=None):
+        """The value under ``key`` (or the default) through ``convert``; a
+        value that does not convert is invalid input naming its key."""
+        v = kv.get(key)
+        if v in ("", None):
+            v = default
+        if v is None:
+            return None
+        try:
+            return convert(v)
+        except ValidationError:
+            raise
+        except ValueError as exc:
+            raise ValidationError(f"invalid {key} {v!r}: {exc}") from None
 
-    scaling = parse_scaling(get("scaling", "1,1"))
-    eps_raw = str(get("eps", "1"))
-    te = get("time_extent")
     return ExperimentConfig(
-        scaling=scaling,
-        operator=str(get("operator", "laplacian")),
-        operator_file=get("operator_file"),
-        eta=float(get("eta", 1.5)),
-        alpha=float(get("alpha", 0.5)),
-        radius=int(get("radius", 8)),
-        eps_list=tuple(float(x) for x in eps_raw.split(",")),
-        ensemble=int(get("ensemble", 1)),
-        seed=int(get("seed", 0)),
-        germ=str(get("germ", "jet")),
-        germ_file=get("germ_file"),
-        source_scale=float(get("source_scale", 1.0)),
-        time_extent=None if te is None else int(te),
-        allow_integer_orders=str(get("allow_integer_orders", "0")).lower() in ("1", "true", "yes"),
-        threads=int(get("threads", 1)),
+        scaling=get("scaling", parse_scaling, "1,1"),
+        operator=get("operator", str, "laplacian"),
+        operator_file=get("operator_file", str),
+        eta=get("eta", float, 1.5),
+        alpha=get("alpha", float, 0.5),
+        radius=get("radius", int, 8),
+        eps_list=get("eps", lambda v: tuple(float(x) for x in str(v).split(",")), "1"),
+        ensemble=get("ensemble", int, 1),
+        seed=get("seed", int, 0),
+        germ=get("germ", str, "jet"),
+        germ_file=get("germ_file", str),
+        source_scale=get("source_scale", float, 1.0),
+        time_extent=get("time_extent", int),
+        allow_integer_orders=get("allow_integer_orders",
+                                 lambda v: str(v).lower() in ("1", "true", "yes"), "0"),
+        threads=get("threads", int, 1),
     )
 
 

@@ -148,6 +148,35 @@ def test_malformed_scaling_exits_one(capsys):
         assert err.count("\n") == 1
 
 
+def test_malformed_config_number_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("scaling=1\nradius=4\nseed=x\n")
+    for argv, key in ((("probe", "--scaling", "1", "--window", "4", "--eps", "1,x"), "eps"),
+                      (("probe", "--config", str(cfg)), "seed")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith(f"germcalc: invalid input: invalid {key} ")
+        assert err.count("\n") == 1
+
+
+def test_malformed_germ_file_exits_one(tmp_path, capsys):
+    head = "d=1 s=1 eps=1 base_lo=0 base_hi=0 act_lo=0 act_hi=0\n"
+    cases = {
+        "no-s.germ": ("# germcalc germ v1\n" + head.replace("s=1 ", "") + "0,0,1,0\n",
+                      "line 2", "s="),
+        "empty.germ": ("", "no header line", ""),
+        "short-row.germ": ("# germcalc germ v1\n" + head + "0,0,1\n", "line 3", "got 3"),
+    }
+    for name, (text, where, what) in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "norm", "--kind", "G-eta", "--eta", "1.5",
+                               "--germ", str(path))
+        assert code == 1, name
+        assert err.startswith("germcalc: invalid input:") and err.count("\n") == 1
+        assert where in err and what in err
+
+
 def test_liouville_complex_operator(capsys):
     # the Cauchy-Riemann kernel up to degree 1.5 is span{1, x + iy}
     code, out, _ = run_cli(capsys, "liouville", "--preset", "cauchy-riemann",

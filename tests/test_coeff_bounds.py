@@ -4,9 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from germcalc import (Germ, ScaleMap, Scaling, construct_weights, index_set,
-                      jet_germ, probe_coefficients, scale_germ)
-from germcalc.coeff_bounds import first_differing_component
+from germcalc import (Germ, ScaleMap, Scaling, construct_weights, jet_germ,
+                      multi_indices, probe_coefficients, scale_germ)
+from germcalc import coeff_bounds
+from germcalc.coeff_bounds import _int_root_at_least, first_differing_component
 from germcalc.errors import DegenerateProbeError, ValidationError, WindowTooSmallError
 from germcalc.germs import Window
 
@@ -16,7 +17,7 @@ from polyutil import Poly, jet_poly
 
 def test_index_set_ordering():
     s = Scaling((2, 1))
-    assert index_set(s, 3.5) == [(0, 0), (0, 1), (0, 2), (1, 0), (0, 3), (1, 1)]
+    assert multi_indices(s, 3.5) == [(0, 0), (0, 1), (0, 2), (1, 0), (0, 3), (1, 1)]
     assert first_differing_component((0, 2), (1, 0)) == 0
     assert first_differing_component((1, 1), (1, 3)) == 1
 
@@ -151,3 +152,41 @@ def test_weights_invariant_property(s, eta, delta):
     system = construct_weights(Scaling(s), eta, delta)
     ok, worst = system.verify()
     assert ok and worst <= 1.0
+
+
+@given(st.one_of(st.fractions(min_value=0, max_value=10**30, max_denominator=10**6),
+                 st.integers(1, 10**30).map(Fraction)),
+       st.integers(1, 6))
+@settings(max_examples=300, deadline=None)
+def test_int_root_at_least(bound, q):
+    r = _int_root_at_least(bound, q)
+    assert r >= 1 and r ** q >= bound
+    assert r == 1 or (r - 1) ** q < bound
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 6])
+def test_int_root_at_least_perfect_powers(q):
+    for r in (2, 3, 10**5 + 7, 31622776601):
+        n = r ** q
+        assert _int_root_at_least(Fraction(n), q) == r
+        assert _int_root_at_least(Fraction(n + 1), q) == r + 1
+        assert _int_root_at_least(Fraction(n) - Fraction(1, 10**9), q) == r
+
+
+def _int_root_linear(bound: Fraction, q: int) -> int:
+    """Reference: a float guess, then unit steps with exact Fraction powers."""
+    if bound <= 1:
+        return 1
+    r = max(1, int(round(float(bound) ** (1.0 / q))))
+    while Fraction(r) ** q < bound:
+        r += 1
+    while r > 1 and Fraction(r - 1) ** q >= bound:
+        r -= 1
+    return r
+
+
+@pytest.mark.parametrize("s, eta", [((2, 1), 5.5), ((1, 1, 1), 4.5), ((2, 1, 1), 4.5)])
+def test_weights_match_linear_root_search(monkeypatch, s, eta):
+    fast = construct_weights(Scaling(s), eta, 0.1).to_text()
+    monkeypatch.setattr(coeff_bounds, "_int_root_at_least", _int_root_linear)
+    assert construct_weights(Scaling(s), eta, 0.1).to_text() == fast

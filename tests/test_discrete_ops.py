@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from germcalc import (Scaling, adjoint, apply_to_field, apply_to_germ,
                       continuum_symbol, discrete_monomial, discrete_symbol,
                       fractional_symbol, is_discretely_elliptic, make_operator,
-                      monomial_diff_rule_check, operator_from_text,
+                      monomial_diff_rule_check, multi_indices, operator_from_text,
                       operator_to_text, preset_operator)
-from germcalc.discrete_ops import (DualPoint, fft_symbol_grid,
+from germcalc.discrete_ops import (DualPoint, dual_torus_bounds, fft_symbol_grid,
                                    laplacian_neighbor_form)
 from germcalc.errors import ValidationError
 from germcalc.germs import Window
@@ -88,6 +89,39 @@ def test_symbols_trivial_values():
     Lh = preset_operator("heat", 3)
     assert continuum_symbol(Lh, (1.0, 0.0, 0.0)) == pytest.approx(1j)
     assert continuum_symbol(preset_operator("laplacian", 2), (1.0, 1.0)) == pytest.approx(-2.0)
+
+
+@st.composite
+def homogeneous_operators(draw):
+    """Random homogeneous operators: d = 1..3, grading weights 1 or 2, weighted
+    order up to 4, one to four terms with complex coefficients."""
+    d = draw(st.integers(1, 3))
+    scaling = Scaling(tuple(draw(st.lists(st.sampled_from([1, 2]), min_size=d, max_size=d))))
+    m = draw(st.integers(1, 4))
+    pairs = [(g, dl) for g in multi_indices(scaling, m) for dl in multi_indices(scaling, m)
+             if scaling.degree(g) + scaling.degree(dl) == m]
+    assume(pairs)
+    picks = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4, unique=True))
+    coeff = st.floats(-2, 2).filter(lambda x: abs(x) > 1e-3)
+    terms = {p: complex(draw(coeff), draw(st.floats(-2, 2))) for p in picks}
+    return make_operator(scaling, terms)
+
+
+@given(homogeneous_operators(), st.sampled_from([1.0, 0.5, 0.37]), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_single_point_symbols_match_array_path(L, eps, seed):
+    # one-point calls run on Python complex values, batches on numpy arrays
+    bounds = np.array(dual_torus_bounds(L.scaling, eps))
+    T = np.random.default_rng(seed).uniform(-1, 1, size=(8, L.d)) * bounds
+    batch = discrete_symbol(L, eps, T)
+    tol = 1e-13 * L.coeff_scale() * eps ** (-L.order)
+    for t, v in zip(T, batch):
+        one = discrete_symbol(L, eps, t)
+        assert isinstance(one, complex)
+        assert abs(one - v) <= tol
+    X = T / bounds * 3.0
+    batch = continuum_symbol(L, X)
+    assert [continuum_symbol(L, x) for x in X] == list(batch)
 
 
 def test_eps_degenerate_continuum_vanishes(rng):
