@@ -1,7 +1,6 @@
 """Anisotropic germ calculus on lattice windows."""
 
-from .geometry import (MultiIndex, ScaleMap, Scaling, aniso_degree, aniso_distance,
-                       compose_scale, invert_scale, multi_indices, scale_point)
+from .geometry import MultiIndex, ScaleMap, Scaling, compose_scale, multi_indices
 from .germs import (CenterReport, DistGerm, Germ, Window, center_check,
                     frozen_coefficient_germ, germ_from_text, germ_to_text, jet_germ,
                     load_germ, restrict_initial, save_germ, scale_germ)

@@ -1,14 +1,13 @@
 """Weighted discrete Chebyshev (minimax) fitting.
 
 Solves  min over c  of  max_i |r_i - (Phi c)_i| / w_i  on a finite point set
-with strictly positive weights.  Three routes are provided:
+with strictly positive weights.  Two routes are provided:
 
 * ``exchange`` -- reference/exchange iteration (a dual-simplex walk on the
   classical reformulation).  Deterministic, fast, and self-certifying: it
   returns once the reference value (a weak-duality lower bound) matches the
   achieved maximum of its fit.  Falls back to the LP route on stall.
 * ``lp`` -- scipy ``linprog`` (HiGHS) on the standard epigraph formulation.
-* ``grid`` -- brute-force coefficient-grid refinement; test oracle only.
 
 All routes report the *achieved* maximum ratio of the fit they return, so
 values are reproducible by direct evaluation.
@@ -157,41 +156,6 @@ def lp_minimax(Phi: np.ndarray, r: np.ndarray, w: np.ndarray):
         raise RuntimeError(f"minimax LP failed: {res.message}")
     c = res.x[:p]
     return achieved_value(Phi, r, w, c), c
-
-
-def grid_minimax(Phi: np.ndarray, r: np.ndarray, w: np.ndarray,
-                 rounds: int = 7, pts: int = 9):
-    """Brute-force coefficient-grid refinement (oracle for tests).
-
-    The objective is convex in the coefficients, so refining around the grid
-    argmin is sound; the box is widened whenever the argmin touches its
-    boundary.  Returns (value, coefficients, final_step) where final_step is
-    the last per-axis grid spacing.
-    """
-    n, p = Phi.shape
-    if p == 0:
-        return float(np.max(np.abs(r) / w)), np.zeros(0), 0.0
-    center = weighted_lstsq(Phi, r, w)
-    half = 4.0 * (np.max(np.abs(center)) + 1.0)
-    best_v, best_c = np.inf, center.copy()
-    step = 0.0
-    for _ in range(rounds):
-        axes = [np.linspace(-half, half, pts)] * p
-        offs = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, p)
-        cand = center[None, :] + offs
-        resid = np.abs(r[None, :] - cand @ Phi.T) / w[None, :]
-        vals = resid.max(axis=1)
-        k = int(np.argmin(vals))
-        if vals[k] < best_v:
-            best_v, best_c = float(vals[k]), cand[k].copy()
-        on_edge = np.any(np.abs(offs[k]) >= half * (1 - 1e-12))
-        step = 2 * half / (pts - 1)
-        if on_edge:
-            half *= 2.0
-        else:
-            center = cand[k]
-            half = 1.5 * step
-    return best_v, best_c, step
 
 
 def solve_minimax(Phi: np.ndarray, r: np.ndarray, w: np.ndarray, method: str = "exchange"):

@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError
 from .geometry import MultiIndex, Scaling
-from .germs import DistGerm, Germ, Window, iterated_diff
+from .germs import (DistGerm, Germ, Window, _key_values, _line_errors, _text_rows,
+                    iterated_diff)
 
 Term = tuple[MultiIndex, MultiIndex, complex]
 
@@ -523,18 +524,26 @@ def operator_to_text(L: DiffOperator) -> str:
 
 
 def operator_from_text(text: str) -> DiffOperator:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    head = dict(kv.split("=", 1) for kv in lines[0].split())
-    scaling = Scaling(tuple(int(x) for x in head["s"].split(",")))
+    """Parse ``operator_to_text`` output; malformed text raises
+    ValidationError naming the offending line."""
+    rows = _text_rows(text, "operator")
+    no, head = rows[0]
+    with _line_errors(lambda: f"operator header (line {no})"):
+        fields = _key_values(head)
+        scaling = Scaling(tuple(int(x) for x in fields["s"].split(",")))
+        m = int(fields["m"])
     terms = {}
-    for ln in lines[1:]:
-        kv = dict(item.split("=", 1) for item in ln.split())
-        g = tuple(int(x) for x in kv["gamma"].split(","))
-        dl = tuple(int(x) for x in kv["delta"].split(","))
-        terms[(g, dl)] = terms.get((g, dl), 0j) + float(kv["re"]) + 1j * float(kv["im"])
+    with _line_errors(lambda: f"operator line {no}"):
+        for no, ln in rows[1:]:
+            kv = _key_values(ln)
+            g = tuple(int(x) for x in kv["gamma"].split(","))
+            dl = tuple(int(x) for x in kv["delta"].split(","))
+            scaling.degree(g)
+            scaling.degree(dl)
+            terms[(g, dl)] = terms.get((g, dl), 0j) + float(kv["re"]) + 1j * float(kv["im"])
     L = make_operator(scaling, terms)
-    if int(head["m"]) != L.order:
-        raise ValidationError(f"header order m={head['m']} does not match terms (m={L.order})")
+    if m != L.order:
+        raise ValidationError(f"header order m={m} does not match terms (m={L.order})")
     return L
 
 

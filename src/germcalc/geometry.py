@@ -100,14 +100,6 @@ def _root_arr(t: np.ndarray, w: int) -> np.ndarray:
     return t ** (1.0 / w)
 
 
-def aniso_degree(scaling: Scaling, gamma: MultiIndex) -> int:
-    return scaling.degree(gamma)
-
-
-def aniso_distance(scaling: Scaling, x, y) -> float:
-    return scaling.distance(x, y)
-
-
 def multi_indices(scaling: Scaling, max_degree: float) -> list[MultiIndex]:
     """All multi-indices with weighted degree <= max_degree, in degree-lex order.
 
@@ -163,16 +155,8 @@ class ScaleMap:
         return ScaleMap(self.scaling, tuple(w), Rinv)
 
 
-def scale_point(m: ScaleMap, y):
-    return m(y)
-
-
 def compose_scale(a: ScaleMap, b: ScaleMap) -> ScaleMap:
     """Composition a o b, i.e. first apply b, then a."""
     if a.scaling != b.scaling:
         raise DimensionError("scale maps live over different gradings")
     return ScaleMap(a.scaling, tuple(a(np.asarray(b.w))), a.R * b.R)
-
-
-def invert_scale(a: ScaleMap) -> ScaleMap:
-    return a.inverse()

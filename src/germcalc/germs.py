@@ -9,6 +9,7 @@ from the base set rather than extrapolated.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ from .errors import (
     LatticeCompatibilityError,
     ValidationError,
 )
-from .geometry import MultiIndex, ScaleMap, Scaling, multi_indices
+from .geometry import MultiIndex, ScaleMap, Scaling, _root, _root_arr, multi_indices
 
 #: Soft cap on window points per axis; dense tables are O(N^2) in the number
 #: of window points, so larger windows are refused by default.
@@ -128,22 +129,6 @@ class Window:
             if center_idx[j] - reach < self.lo[j] or center_idx[j] + reach > self.hi[j]:
                 return False
         return True
-
-
-def _root(t: float, s: int) -> float:
-    if s == 1:
-        return t
-    if s == 2:
-        return float(np.sqrt(t))
-    return float(t ** (1.0 / s))
-
-
-def _root_arr(t: np.ndarray, s: int) -> np.ndarray:
-    if s == 1:
-        return t
-    if s == 2:
-        return np.sqrt(t)
-    return t ** (1.0 / s)
 
 
 def iterated_diff(arr: np.ndarray, axis: int, n: int, h: float) -> np.ndarray:
@@ -442,39 +427,61 @@ def _parse_ints(t) -> tuple[int, ...]:
     return tuple(int(x) for x in t.split(";"))
 
 
-def germ_from_text(text: str) -> Germ:
-    """Parse ``germ_to_text`` output; malformed text raises ValidationError
-    naming the offending line."""
+def _text_rows(text: str, kind: str) -> list[tuple[int, str]]:
+    """Non-blank, non-comment lines with their 1-based line numbers; the
+    first one is the header."""
     rows = [(no, ln) for no, ln in enumerate(text.splitlines(), 1)
             if ln.strip() and not ln.startswith("#")]
     if not rows:
-        raise ValidationError("germ file has no header line")
-    no, head = rows[0]
+        raise ValidationError(f"{kind} file has no header line")
+    return rows
+
+
+@contextmanager
+def _line_errors(where):
+    """Re-raise a parse failure (a missing ``key=`` field or a malformed
+    value) as a one-line ValidationError naming ``where()``.  ``where`` is
+    called only on failure, so one context can wrap a loop and name the
+    line it stopped at."""
     try:
-        fields = dict(kv.split("=", 1) for kv in head.split())
+        yield
+    except KeyError as exc:
+        raise ValidationError(f"{where()} has no {exc.args[0]}= field") from None
+    except (ValueError, IndexError) as exc:
+        raise ValidationError(f"{where()}: {exc}") from None
+
+
+def _key_values(line: str) -> dict[str, str]:
+    return dict(kv.split("=", 1) for kv in line.split())
+
+
+def _split_fields(line: str, n: int) -> list[str]:
+    parts = line.split(",")
+    if len(parts) != n:
+        raise ValidationError(f"expected {n} comma-separated fields, got {len(parts)}")
+    return parts
+
+
+def germ_from_text(text: str) -> Germ:
+    """Parse ``germ_to_text`` output; malformed text raises ValidationError
+    naming the offending line."""
+    rows = _text_rows(text, "germ")
+    no, head = rows[0]
+    with _line_errors(lambda: f"germ header (line {no})"):
+        fields = _key_values(head)
         scaling = Scaling(_parse_ints(fields["s"].replace(",", ";")))
         eps = float(fields["eps"])
         base = Window(scaling, eps, _parse_ints(fields["base_lo"]), _parse_ints(fields["base_hi"]))
         active = Window(scaling, eps, _parse_ints(fields["act_lo"]), _parse_ints(fields["act_hi"]))
-    except KeyError as exc:
-        raise ValidationError(f"germ header (line {no}) has no {exc.args[0]}= field") from None
-    except ValueError as exc:
-        raise ValidationError(f"germ header (line {no}): {exc}") from None
     vals = np.zeros((base.npoints, active.npoints), dtype=complex)
     seen = np.zeros(vals.shape, dtype=bool)
-    for no, ln in rows[1:]:
-        parts = ln.split(",")
-        if len(parts) != 4:
-            raise ValidationError(
-                f"germ line {no}: expected 4 comma-separated fields, got {len(parts)}")
-        bidx, aidx, re, im = parts
-        try:
+    with _line_errors(lambda: f"germ line {no}"):
+        for no, ln in rows[1:]:
+            bidx, aidx, re, im = _split_fields(ln, 4)
             b = base.flat(_parse_ints(bidx))
             a = active.flat(_parse_ints(aidx))
             vals[b, a] = float(re) + 1j * float(im)
-        except ValueError as exc:
-            raise ValidationError(f"germ line {no}: {exc}") from None
-        seen[b, a] = True
+            seen[b, a] = True
     if not seen.all():
         raise ValidationError("germ file is missing base/active pairs")
     if np.all(vals.imag == 0):
@@ -510,16 +517,21 @@ def field_to_text(values: np.ndarray, mask, window: Window) -> str:
 
 
 def field_from_text(text: str):
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    fields = dict(kv.split("=", 1) for kv in lines[0].split())
-    scaling = Scaling(_parse_ints(fields["s"].replace(",", ";")))
-    window = Window(scaling, float(fields["eps"]),
-                    _parse_ints(fields["lo"]), _parse_ints(fields["hi"]))
+    """Parse ``field_to_text`` output into (values, mask, window); malformed
+    text raises ValidationError naming the offending line."""
+    rows = _text_rows(text, "field")
+    no, head = rows[0]
+    with _line_errors(lambda: f"field header (line {no})"):
+        fields = _key_values(head)
+        scaling = Scaling(_parse_ints(fields["s"].replace(",", ";")))
+        window = Window(scaling, float(fields["eps"]),
+                        _parse_ints(fields["lo"]), _parse_ints(fields["hi"]))
     values = np.zeros(window.npoints)
     mask = np.zeros(window.npoints, dtype=bool)
-    for ln in lines[1:]:
-        iidx, val, flag = ln.split(",")
-        p = window.flat(_parse_ints(iidx))
-        values[p] = float(val)
-        mask[p] = bool(int(flag))
+    with _line_errors(lambda: f"field line {no}"):
+        for no, ln in rows[1:]:
+            iidx, val, flag = _split_fields(ln, 3)
+            p = window.flat(_parse_ints(iidx))
+            values[p] = float(val)
+            mask[p] = bool(int(flag))
     return values, mask, window

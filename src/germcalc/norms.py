@@ -258,6 +258,12 @@ def _require_base_in_active(U: Germ) -> None:
             raise DimensionError("base window must sit inside the active window")
 
 
+def _weights(dxy, dyz, eta: float, alpha: float):
+    """Three-point weight ``d(y,z)**alpha (d(x,y) + d(y,z))**(eta-alpha)``;
+    it grows with d(y, z)."""
+    return _pow_dist(dyz, alpha) * _pow_dist(dxy + dyz, eta - alpha)
+
+
 def _pair_problem(U: Germ, xf: int, yf: int, eta: float, alpha: float,
                   R: float | None):
     """Assemble (Phi, r, w) for one base pair; constant term pinned at z = y."""
@@ -275,7 +281,7 @@ def _pair_problem(U: Germ, xf: int, yf: int, eta: float, alpha: float,
     gammas = [g for g in multi_indices(U.scaling, math.floor(eta)) if any(g)]
     Z = act.coords()[zmask] - ycoord[None, :]
     Phi = _poly_columns(Z, gammas) if gammas else np.zeros((Z.shape[0], 0))
-    w = _pow_dist(dyz[zmask], alpha) * _pow_dist(dxy + dyz[zmask], eta - alpha)
+    w = _weights(dxy, dyz[zmask], eta, alpha)
     return Phi, r, w, gammas
 
 
@@ -311,10 +317,12 @@ def seminorm_G_eta_alpha(U: Germ, eta: float, alpha: float, R: float | None = No
     the max over pairs.
 
     The weight vanishes at z = y, so the fit interpolates there exactly and
-    z = y is excluded from the max.  A cheap least-squares upper bound per
-    pair orders the exact solves; pairs that provably cannot beat the current
-    max are skipped, so the reported value is exact up to a 1e-12 relative
-    slack.
+    z = y is excluded from the max.  A cheap upper bound per pair orders the
+    exact solves; pairs that provably cannot beat the current max are
+    skipped, so the reported value is exact up to a 1e-12 relative slack.
+    The bounds are read off the table modulo polynomials when it has rank
+    at most one there (``_factor_modulo_polynomials``) and come from one
+    least-squares fit per pair otherwise.
     """
     if not (0 < alpha < eta):
         raise ValueError("need 0 < alpha < eta")
@@ -331,70 +339,25 @@ def seminorm_G_eta_alpha(U: Germ, eta: float, alpha: float, R: float | None = No
     params = {"eta": eta, "alpha": alpha} | ({} if R is None else {"R": R})
 
     B = base.coords()
-    A = act.coords()
     Dxy = scaling.pairwise_distance(B, B)
     pairs = Dxy > 0
     if R is not None:
         pairs &= Dxy < R
-    # the weights see x only through d(x, y): number the distinct distances
-    # once per call; per y, weights and normal matrices are built once per
-    # distance class in use and gathered per x
-    dist, dist_class = np.unique(Dxy, return_inverse=True)
-    dist_class = dist_class.reshape(Dxy.shape)
-    in_use = np.zeros((base.npoints, dist.size), dtype=bool)
-    in_use[np.nonzero(pairs)[1], dist_class[pairs]] = True
-    base_idx = base.indices()
-    a_pos = np.array([act.flat(base_idx[i]) for i in range(base.npoints)])
-
-    cand_ub, cand_lb, cand_wmin, cand_x, cand_y = [], [], [], [], []
-    for yf in range(base.npoints):
-        dyz = scaling.pairwise_distance(B[yf][None, :], A)[0]
-        zmask = dyz > 0
-        if R is not None:
-            zmask &= dyz < R
-        xs = np.nonzero(pairs[:, yf])[0]
-        if xs.size == 0 or not zmask.any():
-            continue
-        zs = np.nonzero(zmask)[0]
-        # r[x, z] = (U_x - U_y)(z) - (U_x - U_y)(y); a row take then a column
-        # take copies faster than one np.ix_ gather
-        r = U.values[xs].take(zs, axis=1)
-        r -= U.values[yf, zs]
-        r -= (U.values[xs, a_pos[yf]] - U.values[yf, a_pos[yf]])[:, None]
-        of_x = (np.cumsum(in_use[yf]) - 1)[dist_class[xs, yf]]   # row of Wc for each x
-        dz = dyz[zs]
-        Wc = (_pow_dist(dz, alpha)[None, :] *
-              _pow_dist(dist[in_use[yf]][:, None] + dz[None, :], eta - alpha))
-        if p == 0:
-            ub = np.max(np.abs(r) / Wc[of_x], axis=1)
-            lb = ub  # no free coefficients: the bound is the exact value
-        else:
-            Phi = _poly_columns(A[zs] - B[yf][None, :], gammas)
-            PhiPhi = (Phi[:, :, None] * Phi[:, None, :]).reshape(zs.size, p * p)
-            Winv2 = 1.0 / (Wc * Wc)
-            Ac = (Winv2 @ PhiPhi).reshape(-1, p, p)
-            ridge = 1e-13 * np.maximum(np.trace(Ac, axis1=1, axis2=2), 1e-300)
-            Ac += ridge[:, None, None] * np.eye(p)[None, :, :]
-            bvec = (r * Winv2[of_x]) @ Phi
-            C = np.linalg.solve(Ac[of_x], bvec[..., None])[..., 0]
-            res = r - C @ Phi.T
-            ub = np.max(np.abs(res) / Wc[of_x], axis=1)
-            lb = _dual_lower_bound(Phi, r, Wc, of_x, dz, p)
-        cand_ub.append(ub)
-        cand_lb.append(lb)
-        cand_wmin.append(np.min(Wc, axis=1)[of_x])
-        cand_x.append(xs)
-        cand_y.append(np.full(xs.size, yf))
-    if not cand_ub:
-        return NormReport(name, 0.0, params, {}, window_descriptor(U))
-    ub = np.concatenate(cand_ub)
-    lb = np.concatenate(cand_lb)
-    wmin = np.concatenate(cand_wmin)
-    xs = np.concatenate(cand_x)
-    ys = np.concatenate(cand_y)
     # pairs at the germ's numerical noise level are screened in bulk; the
-    # exact solves run only where the fit bound carries signal
+    # exact solves run only where the bound carries signal
     noise = 1e-12 * float(np.max(np.abs(U.values)))
+    # jet and frozen-coefficient germs have rank <= 1 modulo polynomials up
+    # to that level; their bounds need no fit per pair
+    factor = _factor_modulo_polynomials(U, eta)
+    if 4 * float(np.max(factor[2])) > noise:
+        factor = None
+    bounds = None if factor is None else _quiet_bounds(U, Dxy, pairs, eta, alpha, R,
+                                                        factor, noise)
+    if bounds is None:
+        bounds = _screen_bounds(U, Dxy, pairs, eta, alpha, R, gammas, factor)
+    ub, lb, wmin, xs, ys = bounds
+    if ub.size == 0:
+        return NormReport(name, 0.0, params, {}, window_descriptor(U))
     quiet = ub * wmin <= noise
     # pairs whose upper bound cannot reach the best certified lower bound
     # cannot realize the max and are never solved exactly.  Complex data is
@@ -405,6 +368,7 @@ def seminorm_G_eta_alpha(U: Germ, eta: float, alpha: float, R: float | None = No
     keep = np.nonzero(~quiet & (reach >= floor))[0]
     order = keep[np.lexsort((ys[keep], xs[keep], -ub[keep]))]
 
+    base_idx = base.indices()
     best = -1.0
     bw: dict = {}
     for i in order:
@@ -428,26 +392,178 @@ def seminorm_G_eta_alpha(U: Germ, eta: float, alpha: float, R: float | None = No
     return NormReport(name, max(best, 0.0), params, bw, window_descriptor(U))
 
 
-def _dual_lower_bound(Phi: np.ndarray, r: np.ndarray, Wc: np.ndarray,
-                      of_x: np.ndarray, dyz: np.ndarray, p: int) -> np.ndarray:
+def _factor_modulo_polynomials(U: Germ, eta: float):
+    """Rank-one model of the germ table modulo polynomials.
+
+    Writes ``U_x - U_0 = P_x + coef_x psi + e_x`` on the active window, with
+    P_x a polynomial of weighted degree <= floor(eta), psi the largest row
+    (first on ties) of the table after projecting the polynomials out, coef
+    its projection coefficients and ``|e_x| <= rho_x`` pointwise; rho
+    carries a rounding allowance of 1e-15 sup|U|.  Returns (coef, psi, rho).
+    A jet germ ``u - P_x`` leaves every row at the noise level, a frozen
+    coefficient germ ``u - a(x) v - P_x`` leaves ``coef_x psi = (a(0) - a(x)) v``
+    modulo polynomials.
+    """
+    A = U.active.coords()
+    lo, hi = A.min(axis=0), A.max(axis=0)
+    half = np.where(hi > lo, (hi - lo) / 2, 1.0)
+    P = _poly_columns((A - (hi + lo) / 2) / half, multi_indices(U.scaling, math.floor(eta)))
+    E = np.asarray(U.values - U.values[0], dtype=np.result_type(U.values, float))
+    E -= (E @ np.linalg.pinv(P).T) @ P.T
+    psi = E[int(np.argmax(np.linalg.norm(E, axis=1)))].copy()
+    pp = float(np.vdot(psi, psi).real)
+    coef = E @ psi.conj() / pp if pp > 0 else np.zeros(E.shape[0], dtype=E.dtype)
+    E -= coef[:, None] * psi[None, :]
+    rho = np.max(np.abs(E), axis=1) + 1e-15 * float(np.max(np.abs(U.values)))
+    return coef, psi, rho
+
+
+def _quiet_bounds(U: Germ, Dxy: np.ndarray, pairs: np.ndarray, eta: float, alpha: float,
+                  R: float | None, factor, noise: float):
+    """Screen bounds without any fit, when every pair is certified quiet.
+
+    Cancelling only the polynomial part leaves the residual
+    ``(coef_x - coef_y)(psi(z) - psi(y)) + (e_x - e_y)(z) - (e_x - e_y)(y)``,
+    at most ``2 (|coef_x - coef_y| sup|psi| + rho_x + rho_y)`` in modulus.
+    Returns None unless that sits below ``noise`` for every pair; otherwise
+    (ub, lb, wmin, xs, ys) in the order of the per-y screen.
+    """
+    coef, psi, rho = factor
+    ys, xs = np.nonzero(pairs.T)
+    spread = 2 * (np.abs(coef[xs] - coef[ys]) * float(np.max(np.abs(psi))) +
+                  rho[xs] + rho[ys])
+    if not np.all(spread <= noise):
+        return None
+    # the smallest weight of a pair sits at the z nearest to y
+    Dyz = U.scaling.pairwise_distance(U.base.coords(), U.active.coords())
+    zmask = Dyz > 0
+    if R is not None:
+        zmask &= Dyz < R
+    near = np.min(np.where(zmask, Dyz, np.inf), axis=1)[ys]
+    has_z = np.isfinite(near)
+    xs, ys, near, spread = xs[has_z], ys[has_z], near[has_z], spread[has_z]
+    wmin = _weights(Dxy[xs, ys], near, eta, alpha)
+    return spread / wmin, np.zeros(xs.size), wmin, xs, ys
+
+
+def _screen_bounds(U: Germ, Dxy: np.ndarray, pairs: np.ndarray, eta: float, alpha: float,
+                   R: float | None, gammas: list[MultiIndex], factor):
+    """Per-pair upper bounds, certified lower bounds and smallest weights.
+
+    Returns (ub, lb, wmin, xs, ys), y-major.  A factored table (``factor``
+    from ``_factor_modulo_polynomials``) fits the recentered common row psi
+    once per y and distance class: the polynomial part of an increment lies
+    in the fit space, so ``|coef_x - coef_y|`` times that fit's bound plus
+    the pointwise remainder bounds the pair.  Any other table fits every
+    pair's increment.
+    """
+    scaling = U.scaling
+    act = U.active
+    base = U.base
+    p = len(gammas)
+    B = base.coords()
+    A = act.coords()
+    # the weights see x only through d(x, y): number the distinct distances
+    # once per call; per y, weights and normal matrices are built once per
+    # distance class in use and gathered per x
+    dist, dist_class = np.unique(Dxy, return_inverse=True)
+    dist_class = dist_class.reshape(Dxy.shape)
+    in_use = np.zeros((base.npoints, dist.size), dtype=bool)
+    in_use[np.nonzero(pairs)[1], dist_class[pairs]] = True
+    base_idx = base.indices()
+    a_pos = np.array([act.flat(base_idx[i]) for i in range(base.npoints)])
+
+    cand_ub, cand_lb, cand_wmin, cand_x, cand_y = [], [], [], [], []
+    for yf in range(base.npoints):
+        dyz = scaling.pairwise_distance(B[yf][None, :], A)[0]
+        zmask = dyz > 0
+        if R is not None:
+            zmask &= dyz < R
+        xs = np.nonzero(pairs[:, yf])[0]
+        if xs.size == 0 or not zmask.any():
+            continue
+        zs = np.nonzero(zmask)[0]
+        of_x = (np.cumsum(in_use[yf]) - 1)[dist_class[xs, yf]]   # row of Wc for each x
+        dz = dyz[zs]
+        Wc = _weights(dist[in_use[yf]][:, None], dz[None, :], eta, alpha)
+        wmin = np.min(Wc, axis=1)
+        Phi = _poly_columns(A[zs] - B[yf][None, :], gammas)
+        if factor is None:
+            ub = _fit_bound(Phi, _increments(U.values, xs, yf, zs, a_pos[yf]), Wc, of_x)
+        else:
+            coef, psi, rho = factor
+            fit = _fit_bound(Phi, (psi[zs] - psi[a_pos[yf]])[None, :], Wc, slice(None))
+            ub = (np.abs(coef[xs] - coef[yf]) * fit[of_x] +
+                  2 * (rho[xs] + rho[yf]) / wmin[of_x])
+        if p == 0 and factor is None:
+            lb = ub  # no free coefficients: the bound is the exact value
+        else:
+            # the dual bound needs the increments only at its p+1 points
+            S = np.argsort(dz, kind="stable")[:p + 1]
+            lb = _dual_lower_bound(Phi[S], _increments(U.values, xs, yf, zs[S], a_pos[yf]),
+                                   Wc[:, S], of_x)
+        cand_ub.append(ub)
+        cand_lb.append(lb)
+        cand_wmin.append(wmin[of_x])
+        cand_x.append(xs)
+        cand_y.append(np.full(xs.size, yf))
+    if not cand_ub:
+        empty = np.zeros(0)
+        return empty, empty, empty, empty.astype(int), empty.astype(int)
+    return tuple(np.concatenate(c) for c in (cand_ub, cand_lb, cand_wmin, cand_x, cand_y))
+
+
+def _increments(V: np.ndarray, xs: np.ndarray, yf: int, cols: np.ndarray,
+                a_y: int) -> np.ndarray:
+    """Recentered increments ``(U_x - U_y)(z) - (U_x - U_y)(y)`` for the
+    rows ``xs`` at the active columns ``cols``; ``a_y`` is y's column.  A
+    column take then a row take copies faster than one ``np.ix_`` gather."""
+    r = V.take(cols, axis=1)[xs]
+    r -= V[yf, cols]
+    r -= (V[xs, a_y] - V[yf, a_y])[:, None]
+    return r
+
+
+def _fit_bound(Phi: np.ndarray, data: np.ndarray, Wc: np.ndarray, of_row) -> np.ndarray:
+    """Largest weighted residual of each row's weighted least-squares fit.
+
+    Row i of ``data`` (one row is broadcast) is fitted with the weights in
+    row ``of_row[i]`` of ``Wc`` (``slice(None)``: row i); the normal
+    matrices are formed once per row of ``Wc``.
+    """
+    p = Phi.shape[1]
+    if p == 0:
+        return np.max(np.abs(data) / Wc[of_row], axis=1)
+    PhiPhi = (Phi[:, :, None] * Phi[:, None, :]).reshape(Phi.shape[0], p * p)
+    Winv2 = 1.0 / (Wc * Wc)
+    Ac = (Winv2 @ PhiPhi).reshape(-1, p, p)
+    ridge = 1e-13 * np.maximum(np.trace(Ac, axis1=1, axis2=2), 1e-300)
+    Ac += ridge[:, None, None] * np.eye(p)[None, :, :]
+    bvec = (data * Winv2[of_row]) @ Phi
+    C = np.linalg.solve(Ac[of_row], bvec[..., None])[..., 0]
+    res = data - C @ Phi.T
+    return np.max(np.abs(res) / Wc[of_row], axis=1)
+
+
+def _dual_lower_bound(Phi_S: np.ndarray, r_S: np.ndarray, W_S: np.ndarray,
+                      of_x: np.ndarray) -> np.ndarray:
     """Certified per-pair lower bounds from one shared reference subset.
 
     Any p+1 points with a null vector of the design columns give, by weak
     duality, ``|y . r| / sum(|y| w) <= minimax``.  The subset nearest the
     pinned point (smallest weights) is shared across all x for this y, so
-    the bound vectorizes over pairs.  Row ``of_x[i]`` of ``Wc`` holds the
-    weights of pair i.
+    the bound vectorizes over pairs: ``r_S`` holds the increments there and
+    row ``of_x[i]`` of ``W_S`` the weights of pair i.
     """
-    n = Phi.shape[0]
-    if n < p + 1:
-        return np.zeros(r.shape[0])
-    S = np.argsort(dyz, kind="stable")[:p + 1]
-    _, sv, Vh = np.linalg.svd(Phi[S].T, full_matrices=True)
-    if sv.size < p or sv[-1] <= 1e-13 * max(sv[0], 1e-300):
-        return np.zeros(r.shape[0])
+    p = Phi_S.shape[1]
+    if Phi_S.shape[0] < p + 1:
+        return np.zeros(r_S.shape[0])
+    _, sv, Vh = np.linalg.svd(Phi_S.T, full_matrices=True)
+    if sv.size < p or (p and sv[-1] <= 1e-13 * max(sv[0], 1e-300)):
+        return np.zeros(r_S.shape[0])
     y = Vh[-1]
-    den = (Wc[:, S] @ np.abs(y))[of_x]
-    num = np.abs(r[:, S] @ y)
+    den = (W_S @ np.abs(y))[of_x]
+    num = np.abs(r_S @ y)
     return np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
 
 

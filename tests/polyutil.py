@@ -1,10 +1,13 @@
-"""Small multivariate polynomial arithmetic used as an independent oracle."""
+"""Independent oracles for tests: small multivariate polynomial arithmetic and a
+brute-force weighted minimax fit."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from germcalc._minimax import weighted_lstsq
 
 
 class Poly:
@@ -120,3 +123,38 @@ def jet_poly(u_poly, x, order, scaling, eps):
         fact = math.prod(math.factorial(e) for e in g)
         out = out + falling_factorial_poly(d, g, x, steps) * (coef / fact)
     return out
+
+
+def grid_minimax(Phi: np.ndarray, r: np.ndarray, w: np.ndarray,
+                 rounds: int = 7, pts: int = 9):
+    """Brute-force coefficient-grid refinement (oracle for tests).
+
+    The objective is convex in the coefficients, so refining around the grid
+    argmin is sound; the box is widened whenever the argmin touches its
+    boundary.  Returns (value, coefficients, final_step) where final_step is
+    the last per-axis grid spacing.
+    """
+    n, p = Phi.shape
+    if p == 0:
+        return float(np.max(np.abs(r) / w)), np.zeros(0), 0.0
+    center = weighted_lstsq(Phi, r, w)
+    half = 4.0 * (np.max(np.abs(center)) + 1.0)
+    best_v, best_c = np.inf, center.copy()
+    step = 0.0
+    for _ in range(rounds):
+        axes = [np.linspace(-half, half, pts)] * p
+        offs = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, p)
+        cand = center[None, :] + offs
+        resid = np.abs(r[None, :] - cand @ Phi.T) / w[None, :]
+        vals = resid.max(axis=1)
+        k = int(np.argmin(vals))
+        if vals[k] < best_v:
+            best_v, best_c = float(vals[k]), cand[k].copy()
+        on_edge = np.any(np.abs(offs[k]) >= half * (1 - 1e-12))
+        step = 2 * half / (pts - 1)
+        if on_edge:
+            half *= 2.0
+        else:
+            center = cand[k]
+            half = 1.5 * step
+    return best_v, best_c, step

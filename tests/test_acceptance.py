@@ -24,9 +24,9 @@ from germcalc.germs import Window
 from germcalc.harness import (ExperimentConfig, member_rng, rescaled_sides,
                               run_schauder_probe, schauder_sides)
 from germcalc.norms import _pair_problem
-from germcalc._minimax import exchange_minimax, grid_minimax, lp_minimax
+from germcalc._minimax import exchange_minimax, lp_minimax
 
-from polyutil import Poly
+from polyutil import Poly, grid_minimax
 
 
 @contextmanager

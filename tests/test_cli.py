@@ -159,6 +159,12 @@ def test_malformed_config_number_exits_one(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+def _assert_one_line_exit_one(code, err, where, what, name):
+    assert code == 1, name
+    assert err.startswith("germcalc: invalid input:") and err.count("\n") == 1, name
+    assert where in err and what in err, name
+
+
 def test_malformed_germ_file_exits_one(tmp_path, capsys):
     head = "d=1 s=1 eps=1 base_lo=0 base_hi=0 act_lo=0 act_hi=0\n"
     cases = {
@@ -172,9 +178,41 @@ def test_malformed_germ_file_exits_one(tmp_path, capsys):
         path.write_text(text)
         code, _, err = run_cli(capsys, "norm", "--kind", "G-eta", "--eta", "1.5",
                                "--germ", str(path))
-        assert code == 1, name
-        assert err.startswith("germcalc: invalid input:") and err.count("\n") == 1
-        assert where in err and what in err
+        _assert_one_line_exit_one(code, err, where, what, name)
+
+
+def test_malformed_operator_file_exits_one(tmp_path, capsys):
+    head = "# germcalc operator v1\nd=2 s=1,1 m=2\n"
+    term = "gamma=2,0 delta=0,0 re=1.0 im=0.0\n"
+    cases = {
+        "empty.op": ("", "no header line", ""),
+        "no-s.op": (head.replace("s=1,1 ", "") + term, "line 2", "s="),
+        "no-m.op": (head.replace(" m=2", "") + term, "line 2", "m="),
+        "no-gamma.op": (head + term.replace("gamma=2,0 ", ""), "line 3", "gamma="),
+        "bad-number.op": (head + term.replace("re=1.0", "re=x"), "line 3", "x"),
+        "short-gamma.op": (head + term.replace("gamma=2,0", "gamma=2"), "line 3", ""),
+    }
+    for name, (text, where, what) in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "ellipticity", "--operator-file", str(path))
+        _assert_one_line_exit_one(code, err, where, what, name)
+
+
+def test_malformed_field_file_exits_one(tmp_path, capsys):
+    head = "# germcalc field v1\nd=1 s=1 eps=1 lo=0 hi=1\n"
+    cases = {
+        "empty.field": ("", "no header line", ""),
+        "no-s.field": (head.replace("s=1 ", "") + "0,1.0,1\n1,2.0,1\n", "line 2", "s="),
+        "short-row.field": (head + "0,1.0,1\n1,2.0\n", "line 4", "got 2"),
+        "bad-index.field": (head + "0,1.0,1\n7,2.0,1\n", "line 4", ""),
+    }
+    for name, (text, where, what) in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "extend", "--field", str(path), "--alpha", "0.5",
+                               "--holder-const", "1")
+        _assert_one_line_exit_one(code, err, where, what, name)
 
 
 def test_liouville_complex_operator(capsys):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from germcalc._minimax import (achieved_value, exchange_minimax, grid_minimax,
-                               lp_minimax, solve_minimax, weighted_lstsq)
+from germcalc._minimax import (achieved_value, exchange_minimax, lp_minimax, solve_minimax,
+                               weighted_lstsq)
+
+from polyutil import grid_minimax
 
 
 def random_instance(rng, n=None, p=None):

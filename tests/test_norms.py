@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from germcalc import (DistGerm, Germ, ScaleMap, Scaling, apply_to_germ,
-                      build_default_family, holder_bound_ratio, holder_local,
-                      jet_germ, lambda_grid, local_norms, mcshane_extend,
+                      build_default_family, frozen_coefficient_germ, holder_bound_ratio,
+                      holder_local, jet_germ, lambda_grid, local_norms, mcshane_extend,
                       norm_G_eta, operator_holder_bound_ratio, preset_operator,
                       reevaluate_report, scale_germ, seminorm_G_eta_alpha,
                       seminorm_G_gamma, sup_below)
@@ -12,10 +14,11 @@ from germcalc.errors import (DomainTooSmallError, InputNotHolderError,
                              UnderdeterminedFitError)
 from germcalc.germs import Window
 from germcalc.norms import pair_minimax, scaled_test_values, verify_family
-from germcalc._minimax import grid_minimax
-from germcalc.norms import _pair_problem
+from germcalc.geometry import multi_indices
+from germcalc.norms import _factor_modulo_polynomials, _pair_problem
 
 from conftest import box, germ_restricted, random_germ
+from polyutil import grid_minimax
 
 
 def dist_power_germ(scaling, eps, half, eta):
@@ -515,31 +518,55 @@ def _screen_oracle(U, eta, alpha, R):
     return best
 
 
+def _oracle_germ(kind, s, eta, half, complex_values, inner_base, rng):
+    """A random table, or one whose rows modulo polynomials of weighted
+    degree <= floor(eta) have rank 0 (jet germ), rank 1 (frozen coefficient
+    germ; ``coef (x) psi`` plus polynomial rows) or rank 2."""
+    active = box(s, 1.0, half)
+    order = math.floor(eta)
+
+    def field(shape=active.shape):
+        f = rng.standard_normal(shape)
+        return f + 1j * rng.standard_normal(shape) if complex_values else f
+
+    if kind == "jet":
+        return jet_germ(field(), active, order)
+    if kind == "frozen":
+        return frozen_coefficient_germ(field(), field(), field(), active, order)
+    base = active.shrink(hi_margin=(1,) * s.d) if inner_base else active
+    if kind == "random":
+        return Germ(base, active, field((base.npoints, active.npoints)))
+    A = active.coords()
+    columns = [field(active.npoints) for _ in range({"rank1": 1, "rank2": 2}[kind])]
+    columns += [np.prod(A ** np.array(g)[None, :], axis=1) for g in multi_indices(s, order)]
+    return Germ(base, active, sum(np.outer(field(base.npoints), c) for c in columns))
+
+
 # (grading, eta, window half-width): p = 0, 1 or 2 free coefficients
 @given(st.sampled_from([((1,), 0.7, 3), ((1,), 1.5, 2), ((1,), 1.5, 3), ((1,), 2.5, 3),
                         ((1, 1), 0.7, 1), ((1, 1), 1.5, 1), ((2, 1), 0.7, 1),
                         ((2, 1), 1.5, 1)]),
+       st.sampled_from(["random", "jet", "frozen", "rank1", "rank2"]),
        st.booleans(), st.booleans(), st.sampled_from([None, 1.5, 2.5]),
        st.integers(0, 2 ** 32 - 1))
 # a complex germ whose split real/imaginary solve lands above the
 # least-squares bound of a pair that bound alone would prune
-@example(((1, 1), 1.5, 1), True, False, None, 7)
-@settings(max_examples=40, deadline=None)
-def test_eta_alpha_screen_matches_pair_oracle(case, complex_values, inner_base, R, seed):
+@example(((1, 1), 1.5, 1), "random", True, False, None, 7)
+@settings(max_examples=80, deadline=None)
+def test_eta_alpha_screen_matches_pair_oracle(case, kind, complex_values, inner_base, R, seed):
     s, eta, half = Scaling(case[0]), case[1], case[2]
     alpha = eta / 3
-    rng = np.random.default_rng(seed)
-    active = box(s, 1.0, half)
-    base = active.shrink(hi_margin=(1,) * s.d) if inner_base else active
-    vals = rng.standard_normal((base.npoints, active.npoints))
-    if complex_values:
-        vals = vals + 1j * rng.standard_normal(vals.shape)
-    U = Germ(base, active, vals)
+    U = _oracle_germ(kind, s, eta, half, complex_values, inner_base,
+                     np.random.default_rng(seed))
+    # jets, frozen germs and rank-one tables take the factored screen,
+    # random and rank-two tables the per-pair fits
+    noise = 1e-12 * float(np.max(np.abs(U.values)))
+    _, _, rho = _factor_modulo_polynomials(U, eta)
+    assert (4 * float(np.max(rho)) <= noise) == (kind in ("jet", "frozen", "rank1"))
     rep = seminorm_G_eta_alpha(U, eta, alpha, R=R)
     oracle = _screen_oracle(U, eta, alpha, R)
     # pairs at the germ's noise level (fit bound times weight <= 1e-12 sup|U|;
     # all weights are >= 1 at eps = 1) keep a least-squares bound, and only
     # the largest of them is solved, so they agree up to that level
-    noise = 1e-12 * float(np.max(np.abs(vals)))
     assert abs(rep.value - oracle) <= 1e-12 * oracle + noise
     assert reevaluate_report(rep, U) == rep.value
