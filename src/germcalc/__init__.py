@@ -12,15 +12,14 @@ from .discrete_ops import (DiffOperator, DualPoint, EllipticityReport, adjoint,
                            operator_to_text, preset_operator, save_operator)
 from .norms import (NormReport, RatioDiagnostic, TestFunctionFamily,
                     build_default_family, holder_bound_ratio, holder_local,
-                    lambda_grid, local_norms, mcshane_extend, norm_G_eta,
+                    lambda_grid, mcshane_extend, norm_G_eta,
                     operator_holder_bound_ratio, reevaluate_report,
                     seminorm_G_eta_alpha, seminorm_G_gamma, sup_below)
 from .liouville import (KernelBasis, SymbolZero, centered_rigidity_check,
                         polynomial_kernel, symbol_zero_search)
 from .coeff_bounds import (ProbeReport, WeightSystem, construct_weights,
                            probe_coefficients)
-from .harness import (ExperimentConfig, RatioReport, member_rng, run_ivp_probe,
-                      run_local_probe, run_schauder_probe, schauder_sides,
-                      solve_poisson, summarize)
+from .harness import (ExperimentConfig, RatioReport, member_rng, run_probe,
+                      schauder_sides, solve_poisson, summarize)
 
 __version__ = "0.1.0"

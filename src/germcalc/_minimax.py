@@ -1,16 +1,18 @@
 """Weighted discrete Chebyshev (minimax) fitting.
 
 Solves  min over c  of  max_i |r_i - (Phi c)_i| / w_i  on a finite point set
-with strictly positive weights.  Two routes are provided:
+with strictly positive weights.  ``solve_minimax`` runs one route:
 
-* ``exchange`` -- reference/exchange iteration (a dual-simplex walk on the
-  classical reformulation).  Deterministic, fast, and self-certifying: it
-  returns once the reference value (a weak-duality lower bound) matches the
-  achieved maximum of its fit.  Falls back to the LP route on stall.
-* ``lp`` -- scipy ``linprog`` (HiGHS) on the standard epigraph formulation.
+* ``exchange_minimax`` -- reference/exchange iteration (a dual-simplex walk
+  on the classical reformulation).  Deterministic, fast, and
+  self-certifying: it returns once the reference value (a weak-duality lower
+  bound) matches the achieved maximum of its fit.
+* ``lp_minimax`` -- scipy ``linprog`` (HiGHS) on the standard epigraph
+  formulation; the exchange iteration falls back to it on stall, and tests
+  use it as the reference.
 
-All routes report the *achieved* maximum ratio of the fit they return, so
-values are reproducible by direct evaluation.
+Both report the *achieved* maximum ratio of the fit they return, so values
+are reproducible by direct evaluation.
 """
 
 from __future__ import annotations
@@ -62,23 +64,16 @@ def _reference_value(Phi_S, r_S, w_S):
     return t, c
 
 
-def _initial_reference(Phi, r, w):
-    n, p = Phi.shape
-    c0 = weighted_lstsq(Phi, r, w)
-    res = np.abs(r - Phi @ c0) / w if p else np.abs(r) / w
-    order = np.argsort(-res, kind="stable")
-    return np.sort(order[:p + 1])
+def _residual_order(Phi, r, w):
+    """Point indices by decreasing weighted residual of the least-squares fit."""
+    res = np.abs(r - Phi @ weighted_lstsq(Phi, r, w)) / w
+    return np.argsort(-res, kind="stable")
 
 
-def _rank_repaired_reference(Phi, r, w):
+def _rank_repaired_reference(Phi, order):
     """Pivoted-QR reference selection for rank-deficient starts."""
-    n, p = Phi.shape
-    c0 = weighted_lstsq(Phi, r, w)
-    res = np.abs(r - Phi @ c0) / w if p else np.abs(r) / w
-    order = np.argsort(-res, kind="stable")
-    if p == 0:
-        return order[:1]
-    pool = order[: max(8 * (p + 1), p + 1)]
+    p = Phi.shape[1]
+    pool = order[:8 * (p + 1)]
     import scipy.linalg
 
     _, _, piv = scipy.linalg.qr(Phi[pool].T, pivoting=True)
@@ -103,9 +98,10 @@ def exchange_minimax(Phi: np.ndarray, r: np.ndarray, w: np.ndarray):
     if n <= p:
         c, *_ = np.linalg.lstsq(Phi, r, rcond=None)
         return achieved_value(Phi, r, w, c), c
-    S = _initial_reference(Phi, r, w)
+    order = _residual_order(Phi, r, w)
+    S = np.sort(order[:p + 1])
     if _reference_value(Phi[S], r[S], w[S]) is None:
-        S = _rank_repaired_reference(Phi, r, w)
+        S = _rank_repaired_reference(Phi, order)
     best = None
     for _ in range(_MAX_EXCHANGE_ITERS):
         ref = _reference_value(Phi[S], r[S], w[S])
@@ -158,7 +154,7 @@ def lp_minimax(Phi: np.ndarray, r: np.ndarray, w: np.ndarray):
     return achieved_value(Phi, r, w, c), c
 
 
-def solve_minimax(Phi: np.ndarray, r: np.ndarray, w: np.ndarray, method: str = "exchange"):
+def solve_minimax(Phi: np.ndarray, r: np.ndarray, w: np.ndarray):
     """Front end handling complex data by splitting into real and imaginary parts.
 
     For complex data the returned value is the achieved modulus ratio of the
@@ -168,18 +164,11 @@ def solve_minimax(Phi: np.ndarray, r: np.ndarray, w: np.ndarray, method: str = "
     Phi = np.asarray(Phi, dtype=float)
     r = np.asarray(r)
     w = np.asarray(w, dtype=float)
-    solver = {"exchange": exchange_minimax, "lp": lp_minimax}[method]
     if np.iscomplexobj(r):
         if np.any(r.imag):
-            _, cre = solver(Phi, np.ascontiguousarray(r.real), w)
-            _, cim = solver(Phi, np.ascontiguousarray(r.imag), w)
+            _, cre = exchange_minimax(Phi, np.ascontiguousarray(r.real), w)
+            _, cim = exchange_minimax(Phi, np.ascontiguousarray(r.imag), w)
             c = cre + 1j * cim
-            if Phi.shape[1]:
-                res = r - Phi @ c
-            else:
-                res = r
-            val = float(np.max(np.abs(res) / w)) if r.size else 0.0
-            return val, c
+            return achieved_value(Phi, r, w, c), c
         r = np.ascontiguousarray(r.real)
-    val, c = solver(Phi, r, w)
-    return val, c
+    return exchange_minimax(Phi, r, w)

@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe",
                        help="run a norm-ratio ensemble probe")
     p.add_argument("--config", help="flat key=value config file; flags win on conflict")
-    p.add_argument("--mode", choices=["schauder", "ivp", "local"], default="schauder")
+    p.add_argument("--mode", choices=harness.MODES, default="schauder")
     p.add_argument("--scaling")
     p.add_argument("--preset", dest="operator", choices=PRESETS)
     p.add_argument("--operator-file")
@@ -110,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zero-initial", action="store_true",
                    help="subtract the initial slice before building germs (--mode ivp)")
     p.add_argument("--rho", type=float, help="locality radius for --mode local")
-    p.add_argument("--threads", type=int)
     p.add_argument("--out", help="write per-member CSV here")
     p.add_argument("--json", action="store_true", help="print the JSON summary")
 
@@ -247,20 +246,13 @@ def _cmd_probe(args) -> int:
         "operator_file": args.operator_file, "eta": args.eta, "alpha": args.alpha,
         "radius": args.window, "eps": args.eps, "ensemble": args.ensemble,
         "seed": args.seed, "germ": args.germ, "germ_file": args.germ_file,
-        "time_extent": args.time_extent, "threads": args.threads,
+        "time_extent": args.time_extent,
     }
     for k, v in overrides.items():
         if v is not None:
             kv[k] = v
     cfg = harness.config_from_mapping({k: str(v) for k, v in kv.items()})
-    if args.mode == "schauder":
-        reports = harness.run_schauder_probe(cfg)
-    elif args.mode == "ivp":
-        reports = harness.run_ivp_probe(cfg, zero_initial=args.zero_initial)
-    else:
-        if args.rho is None:
-            raise ValidationError("--mode local requires --rho")
-        reports = harness.run_local_probe(cfg, args.rho)
+    reports = harness.run_probe(cfg, args.mode, args.rho, args.zero_initial)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(harness.reports_to_csv(reports))

@@ -178,14 +178,6 @@ class Germ:
     def eps(self) -> float:
         return self.base.eps
 
-    @classmethod
-    def from_function(cls, base: Window, active: Window, fn) -> "Germ":
-        """Tabulate ``fn(x_coords, y_coords)`` over all base/active pairs."""
-        X = base.coords()
-        Y = active.coords()
-        vals = fn(X[:, None, :], Y[None, :, :])
-        return cls(base, active, np.asarray(vals))
-
     def row(self, base_idx) -> np.ndarray:
         """The function attached to one base point, over the active window."""
         return self.values[self.base.flat(base_idx)]

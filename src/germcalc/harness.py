@@ -22,7 +22,7 @@ from .errors import IllPosedSourceError, ValidationError
 from .geometry import ScaleMap, Scaling
 from .germs import (MAX_POINTS_PER_AXIS, Germ, Window, frozen_coefficient_germ, jet_germ,
                     load_germ, restrict_initial, scale_germ)
-from .norms import (build_default_family, norm_G_eta, seminorm_G_eta_alpha,
+from .norms import (_ratio, build_default_family, norm_G_eta, seminorm_G_eta_alpha,
                     seminorm_G_gamma, sup_below)
 
 _FMT = "%.17g"
@@ -46,7 +46,6 @@ class ExperimentConfig:
     source_scale: float = 1.0
     time_extent: int | None = None
     allow_integer_orders: bool = False
-    threads: int = 1
 
     def load_operator(self) -> DiffOperator:
         if self.operator_file:
@@ -82,6 +81,9 @@ class ExperimentConfig:
             raise ValidationError(f"unknown germ constructor {self.germ!r}")
         if self.germ == "file" and not self.germ_file:
             raise ValidationError("germ=file requires germ_file")
+        if self.germ == "file" and (self.ensemble > 1 or len(self.eps_list) > 1):
+            raise ValidationError("germ=file evaluates one germ at its own grid scale; "
+                                  "it takes ensemble 1 and at most one eps")
         return L
 
 
@@ -94,13 +96,19 @@ class RatioReport:
     rhs_eta_alpha: float
     rhs_initial: float
     rhs_local_sup: float
-    ratio: float
     window: dict
-    flags: str = ""
 
     @property
     def rhs(self) -> float:
         return self.rhs_operator + self.rhs_eta_alpha + self.rhs_initial + self.rhs_local_sup
+
+    @property
+    def ratio(self) -> float:
+        return _ratio(self.lhs, self.rhs)[0]
+
+    @property
+    def flags(self) -> str:
+        return "rhs-zero" if _ratio(self.lhs, self.rhs)[1] else ""
 
 
 CSV_COLUMNS = ("member", "eps", "lhs", "rhs_operator", "rhs_eta_alpha",
@@ -166,11 +174,13 @@ def draw_source(rng: np.random.Generator, window: Window, scale: float = 1.0) ->
 
 
 def _build_germ(cfg: ExperimentConfig, L: DiffOperator, window: Window,
-                rng: np.random.Generator) -> Germ:
+                rng: np.random.Generator, zero_initial: bool) -> Germ:
+    """Manufactured jet or frozen-coefficient germ from Poisson solutions;
+    ``zero_initial`` subtracts the initial time slice first."""
     order = math.floor(cfg.eta)
-    if cfg.germ == "file":
-        return load_germ(cfg.germ_file)
     u = solve_poisson(L, draw_source(rng, window, cfg.source_scale), window).u
+    if zero_initial:
+        u = u - u[0][None, ...]
     if cfg.germ == "jet":
         return jet_germ(u, window, order)
     v = solve_poisson(L, draw_source(rng, window, cfg.source_scale), window).u
@@ -189,106 +199,74 @@ def _probe_window(cfg: ExperimentConfig, eps: float) -> Window:
 
 
 def schauder_sides(U: Germ, L: DiffOperator, eta: float, alpha: float,
-                   family=None) -> dict:
-    """Both sides of the whole-window inequality for one germ."""
+                   family=None, R: float | None = None) -> dict:
+    """Both sides of the whole-window inequality for one germ; with ``R``,
+    every norm is restricted to distances and scales below R."""
     if family is None:
         family = build_default_family(U.scaling, int(math.ceil(L.order - eta)))
     LU = apply_to_germ(L, U)
-    lhs = norm_G_eta(U, eta).value
-    rhs_op = seminorm_G_gamma(LU, eta - L.order, family=family).value
-    rhs_ea = seminorm_G_eta_alpha(U, eta, alpha).value
+    lhs = norm_G_eta(U, eta, R=R).value
+    rhs_op = seminorm_G_gamma(LU, eta - L.order, family=family, R=R).value
+    rhs_ea = seminorm_G_eta_alpha(U, eta, alpha, R=R).value
     return {"lhs": lhs, "rhs_operator": rhs_op, "rhs_eta_alpha": rhs_ea}
 
 
-def _ratio(lhs: float, rhs: float) -> tuple[float, str]:
-    if rhs > 0:
-        return lhs / rhs, ""
-    return (0.0, "") if lhs == 0 else (math.inf, "rhs-zero")
+MODES = ("schauder", "ivp", "local")
 
 
-def _run_members(cfg: ExperimentConfig, worker) -> list:
-    """Evaluate one worker per (grid scale, member); members are independent
-    and may run in a thread pool, but results merge in member order."""
-    jobs = [(eps, member) for eps in cfg.eps_list for member in range(cfg.ensemble)]
-    if cfg.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
+def run_probe(cfg: ExperimentConfig, mode: str = "schauder", rho: float | None = None,
+              zero_initial: bool = False) -> list[RatioReport]:
+    """Ensemble of germs; one report per (grid scale, member), in that order.
 
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            return list(pool.map(lambda j: worker(*j), jobs))
-    return [worker(*j) for j in jobs]
+    Every mode evaluates ``||U||_eta <= C (||LU||_(eta-m) + [U]_(eta,alpha))``
+    and adds one term to the right-hand side:
 
+    * ``schauder``: none;
+    * ``ivp``: the initial-slice norm, on a parabolic time slab (jet germs
+      only; ``zero_initial`` subtracts the initial slice from each solution);
+    * ``local``: every norm restricted below ``rho``, plus the
+      ``rho**(-eta)``-weighted sup below rho.
 
-def run_schauder_probe(cfg: ExperimentConfig) -> list[RatioReport]:
-    """Ensemble of manufactured germs; one report per (member, grid scale)."""
+    ``germ=file`` evaluates the file's germ once, at the file's grid scale.
+    """
+    if mode not in MODES:
+        raise ValidationError(f"unknown probe mode {mode!r}")
+    if rho is not None and mode != "local":
+        raise ValidationError("rho applies to mode local only")
+    if zero_initial and mode != "ivp":
+        raise ValidationError("zero_initial applies to mode ivp only")
+    if mode == "local" and not (rho is not None and rho > 0):
+        raise ValidationError("mode local requires a positive rho")
+    if mode == "ivp":
+        if cfg.germ != "jet":
+            raise ValidationError(f"mode ivp builds jet germs; germ={cfg.germ} "
+                                  "is not supported")
+        if cfg.scaling.s[0] != 2 or any(s != 1 for s in cfg.scaling.s[1:]):
+            raise ValidationError("initial-value probe expects scaling (2, 1, ..., 1)")
+        if cfg.time_extent is None:
+            cfg = replace(cfg, time_extent=2 * cfg.radius)
     L = cfg.validate()
     family = build_default_family(cfg.scaling, int(math.ceil(L.order - cfg.eta)))
-
-    def worker(eps, member):
-        window = _probe_window(cfg, eps)
-        rng = member_rng(cfg.seed, member)
-        U = _build_germ(cfg, L, window, rng)
-        sides = schauder_sides(U, L, cfg.eta, cfg.alpha, family)
-        rhs = sides["rhs_operator"] + sides["rhs_eta_alpha"]
-        ratio, flags = _ratio(sides["lhs"], rhs)
-        return RatioReport(member, eps, sides["lhs"], sides["rhs_operator"],
-                           sides["rhs_eta_alpha"], 0.0, 0.0, ratio,
-                           _window_dict(window), flags)
-
-    return _run_members(cfg, worker)
-
-
-def run_ivp_probe(cfg: ExperimentConfig, zero_initial: bool = False) -> list[RatioReport]:
-    """Initial-value variant: parabolic scaling, time slab window, and an
-    extra initial-slice norm on the right-hand side."""
-    if cfg.time_extent is None:
-        cfg = replace(cfg, time_extent=2 * cfg.radius)
-    if cfg.scaling.s[0] != 2 or any(s != 1 for s in cfg.scaling.s[1:]):
-        raise ValidationError("initial-value probe expects scaling (2, 1, ..., 1)")
-    L = cfg.validate()
-    family = build_default_family(cfg.scaling, int(math.ceil(L.order - cfg.eta)))
-    order = math.floor(cfg.eta)
-
-    def worker(eps, member):
-        window = _probe_window(cfg, eps)
-        rng = member_rng(cfg.seed, member)
-        u = solve_poisson(L, draw_source(rng, window, cfg.source_scale), window).u
-        if zero_initial:
-            u = u - u[0][None, ...]
-        U = jet_germ(u, window, order)
-        sides = schauder_sides(U, L, cfg.eta, cfg.alpha, family)
-        rhs_init = norm_G_eta(restrict_initial(U), cfg.eta).value
-        rhs = sides["rhs_operator"] + sides["rhs_eta_alpha"] + rhs_init
-        ratio, flags = _ratio(sides["lhs"], rhs)
-        return RatioReport(member, eps, sides["lhs"], sides["rhs_operator"],
-                           sides["rhs_eta_alpha"], rhs_init, 0.0, ratio,
-                           _window_dict(window), flags)
-
-    return _run_members(cfg, worker)
-
-
-def run_local_probe(cfg: ExperimentConfig, rho: float) -> list[RatioReport]:
-    """Locally uniform variant: every norm restricted below rho, plus the
-    rho**(-eta)-weighted sup term on the right-hand side."""
-    if not rho > 0:
-        raise ValidationError("rho must be positive")
-    L = cfg.validate()
-    family = build_default_family(cfg.scaling, int(math.ceil(L.order - cfg.eta)))
-
-    def worker(eps, member):
-        window = _probe_window(cfg, eps)
-        rng = member_rng(cfg.seed, member)
-        U = _build_germ(cfg, L, window, rng)
-        LU = apply_to_germ(L, U)
-        lhs = norm_G_eta(U, cfg.eta, R=rho).value
-        rhs_op = seminorm_G_gamma(LU, cfg.eta - L.order, family=family, R=rho).value
-        rhs_ea = seminorm_G_eta_alpha(U, cfg.eta, cfg.alpha, R=rho).value
-        rhs_sup = rho ** (-cfg.eta) * sup_below(U, rho).value
-        rhs = rhs_op + rhs_ea + rhs_sup
-        ratio, flags = _ratio(lhs, rhs)
-        return RatioReport(member, eps, lhs, rhs_op, rhs_ea, 0.0,
-                           rhs_sup, ratio, _window_dict(window), flags)
-
-    return _run_members(cfg, worker)
+    if cfg.germ == "file":
+        U = load_germ(cfg.germ_file)
+        if U.scaling != L.scaling:
+            raise ValidationError(f"germ file scaling {U.scaling.s} does not match "
+                                  f"operator scaling {L.scaling.s}")
+        germs = [(0, U)]
+    else:
+        germs = ((member, _build_germ(cfg, L, _probe_window(cfg, eps),
+                                      member_rng(cfg.seed, member), zero_initial))
+                 for eps in cfg.eps_list for member in range(cfg.ensemble))
+    reports = []
+    for member, U in germs:
+        sides = schauder_sides(U, L, cfg.eta, cfg.alpha, family, R=rho)
+        rhs_initial = (norm_G_eta(restrict_initial(U), cfg.eta).value
+                       if mode == "ivp" else 0.0)
+        rhs_local_sup = rho ** (-cfg.eta) * sup_below(U, rho).value if mode == "local" else 0.0
+        reports.append(RatioReport(member, U.eps, sides["lhs"], sides["rhs_operator"],
+                                   sides["rhs_eta_alpha"], rhs_initial, rhs_local_sup,
+                                   _window_dict(U.active)))
+    return reports
 
 
 def rescaled_sides(U: Germ, L: DiffOperator, eta: float, alpha: float, R: float,
@@ -361,7 +339,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "source_scale": cfg.source_scale,
         "time_extent": "" if cfg.time_extent is None else cfg.time_extent,
         "allow_integer_orders": cfg.allow_integer_orders,
-        "threads": cfg.threads,
     }
 
 
@@ -387,9 +364,13 @@ def parse_config_text(text: str) -> dict:
 
 
 def config_from_mapping(kv: dict) -> ExperimentConfig:
+    """Config from string values; a key it does not read is invalid input."""
+    known = set()
+
     def get(key, convert, default=None):
         """The value under ``key`` (or the default) through ``convert``; a
         value that does not convert is invalid input naming its key."""
+        known.add(key)
         v = kv.get(key)
         if v in ("", None):
             v = default
@@ -402,7 +383,7 @@ def config_from_mapping(kv: dict) -> ExperimentConfig:
         except ValueError as exc:
             raise ValidationError(f"invalid {key} {v!r}: {exc}") from None
 
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         scaling=get("scaling", parse_scaling, "1,1"),
         operator=get("operator", str, "laplacian"),
         operator_file=get("operator_file", str),
@@ -418,10 +399,8 @@ def config_from_mapping(kv: dict) -> ExperimentConfig:
         time_extent=get("time_extent", int),
         allow_integer_orders=get("allow_integer_orders",
                                  lambda v: str(v).lower() in ("1", "true", "yes"), "0"),
-        threads=get("threads", int, 1),
     )
-
-
-def load_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        return config_from_mapping(parse_config_text(fh.read()))
+    unknown = sorted(set(kv) - known)
+    if unknown:
+        raise ValidationError(f"unknown config key {', '.join(map(repr, unknown))}")
+    return cfg

@@ -286,7 +286,7 @@ def _pair_problem(U: Germ, xf: int, yf: int, eta: float, alpha: float,
 
 
 def pair_minimax(U: Germ, xf: int, yf: int, eta: float, alpha: float,
-                 R: float | None = None, method: str = "exchange"):
+                 R: float | None = None):
     """Weighted minimax value for one base pair (x, y).
 
     Pairs whose least-squares bound already sits below the germ's numerical
@@ -305,12 +305,12 @@ def pair_minimax(U: Germ, xf: int, yf: int, eta: float, alpha: float,
         noise = 1e-12 * float(np.max(np.abs(U.values)))
         if ub * float(np.min(w)) <= noise:
             return ub, c_ls, gammas
-    val, coeffs = solve_minimax(Phi, r, w, method=method)
+    val, coeffs = solve_minimax(Phi, r, w)
     return val, coeffs, gammas
 
 
-def seminorm_G_eta_alpha(U: Germ, eta: float, alpha: float, R: float | None = None,
-                         method: str = "exchange") -> NormReport:
+def seminorm_G_eta_alpha(U: Germ, eta: float, alpha: float,
+                         R: float | None = None) -> NormReport:
     """Three-point semi-norm: per base pair (x, y), the minimax over
     polynomials of weighted degree <= floor(eta) of the recentered increment,
     weighted by ``d(y,z)**alpha (d(x,y) + d(y,z))**(eta-alpha)``; the value is
@@ -374,7 +374,7 @@ def seminorm_G_eta_alpha(U: Germ, eta: float, alpha: float, R: float | None = No
     for i in order:
         if best >= 0 and reach[i] <= best * (1 + 1e-12) + 1e-300:
             break
-        val, coeffs, _ = pair_minimax(U, int(xs[i]), int(ys[i]), eta, alpha, R, method)
+        val, coeffs, _ = pair_minimax(U, int(xs[i]), int(ys[i]), eta, alpha, R)
         if val > best:
             best = val
             bw = {"base_x": tuple(base_idx[xs[i]]), "base_y": tuple(base_idx[ys[i]]),
@@ -382,8 +382,7 @@ def seminorm_G_eta_alpha(U: Germ, eta: float, alpha: float, R: float | None = No
     if quiet.any():
         top = np.nonzero(quiet)[0][int(np.argmax(ub[quiet]))]
         if best < float(ub[top]):
-            val, coeffs, _ = pair_minimax(U, int(xs[top]), int(ys[top]), eta, alpha,
-                                          R, method)
+            val, coeffs, _ = pair_minimax(U, int(xs[top]), int(ys[top]), eta, alpha, R)
             if val > best:
                 best = val
                 bw = {"base_x": tuple(base_idx[xs[top]]),
@@ -621,24 +620,12 @@ def seminorm_G_gamma(V: Germ, gamma: float, family: TestFunctionFamily | None = 
     return NormReport(name, max(best, 0.0), params, bw, window_descriptor(V))
 
 
-def local_norms(U: Germ, R: float, eta: float | None = None,
-                gamma: float | None = None,
-                family: TestFunctionFamily | None = None) -> NormReport:
-    """Locally uniform variants: distance-restricted positive norm, scale-
-    restricted negative norm, or the plain sup below R."""
-    if eta is not None:
-        return norm_G_eta(U, eta, R=R)
-    if gamma is not None:
-        return seminorm_G_gamma(U, gamma, family=family, R=R)
-    return sup_below(U, R)
-
-
 # ---------------------------------------------------------------------------
 # local Holder semi-norms and the two-sided ratio diagnostics
 
 
 def holder_local(f: np.ndarray, window: Window, alpha: float, center_idx,
-                 R: float, method: str = "exchange") -> float:
+                 R: float) -> float:
     """Recentered local Holder semi-norm of a field on a ball.
 
     For each y in the ball, fit a polynomial of weighted degree <= floor(alpha)
@@ -665,7 +652,7 @@ def holder_local(f: np.ndarray, window: Window, alpha: float, center_idx,
         w = _pow_dist(dzy[zmask], alpha)
         Phi = (_poly_columns(pts[zmask] - pts[i][None, :], gammas)
                if gammas else np.zeros((int(zmask.sum()), 0)))
-        val, _ = solve_minimax(Phi, r, w, method=method)
+        val, _ = solve_minimax(Phi, r, w)
         worst = max(worst, val)
     return worst
 
@@ -720,17 +707,15 @@ def _ratio(lhs: float, rhs: float) -> tuple[float, bool]:
     return (0.0, False) if lhs == 0 else (math.inf, True)
 
 
-def holder_bound_ratio(U: Germ, eta: float, alpha: float, R: float,
-                       method: str = "exchange") -> RatioDiagnostic:
+def holder_bound_ratio(U: Germ, eta: float, alpha: float, R: float) -> RatioDiagnostic:
     """Computable two-sided check: local Holder norms of the germ slices
     against the germ-norm bound ``(G_eta + G_eta_alpha) * R**(eta-alpha)``."""
     base_idx = U.base.indices()
     lhs = 0.0
     for i in range(U.base.npoints):
-        lhs = max(lhs, holder_local(U.values[i], U.active, alpha,
-                                    tuple(base_idx[i]), R, method=method))
+        lhs = max(lhs, holder_local(U.values[i], U.active, alpha, tuple(base_idx[i]), R))
     n1 = norm_G_eta(U, eta)
-    n2 = seminorm_G_eta_alpha(U, eta, alpha, method=method)
+    n2 = seminorm_G_eta_alpha(U, eta, alpha)
     rhs = (n1.value + n2.value) * R ** (eta - alpha)
     ratio, viol = _ratio(lhs, rhs)
     return RatioDiagnostic(lhs, rhs, ratio,
@@ -739,8 +724,7 @@ def holder_bound_ratio(U: Germ, eta: float, alpha: float, R: float,
 
 
 def operator_holder_bound_ratio(U: Germ, L, eta: float, alpha: float, R: float,
-                                family: TestFunctionFamily | None = None,
-                                method: str = "exchange") -> RatioDiagnostic:
+                                family: TestFunctionFamily | None = None) -> RatioDiagnostic:
     """Negative-order analogue: tested local norms of the operator applied to
     each germ slice against ``(G_(eta-m) of LU + G_eta_alpha of U) * R**(eta-alpha)``."""
     from .discrete_ops import apply_to_germ
@@ -757,7 +741,7 @@ def operator_holder_bound_ratio(U: Germ, L, eta: float, alpha: float, R: float,
         lhs = max(lhs, neg_holder_local(LU.values[i], LU.active, alpha - m,
                                         tuple(base_idx[i]), R, family))
     n1 = seminorm_G_gamma(LU, eta - m, family=family)
-    n2 = seminorm_G_eta_alpha(U, eta, alpha, method=method)
+    n2 = seminorm_G_eta_alpha(U, eta, alpha)
     rhs = (n1.value + n2.value) * R ** (eta - alpha)
     ratio, viol = _ratio(lhs, rhs)
     return RatioDiagnostic(lhs, rhs, ratio,

@@ -17,12 +17,12 @@ from germcalc import (DistGerm, Germ, ScaleMap, Scaling, build_default_family,
                       discrete_symbol, is_discretely_elliptic, jet_germ,
                       mcshane_extend, monomial_diff_rule_check, multi_indices,
                       norm_G_eta, polynomial_kernel, preset_operator,
-                      run_ivp_probe, scale_germ, seminorm_G_eta_alpha,
+                      run_probe, scale_germ, seminorm_G_eta_alpha,
                       seminorm_G_gamma, symbol_zero_search)
 from germcalc.discrete_ops import apply_to_germ
 from germcalc.germs import Window
 from germcalc.harness import (ExperimentConfig, member_rng, rescaled_sides,
-                              run_schauder_probe, schauder_sides)
+                              schauder_sides)
 from germcalc.norms import _pair_problem
 from germcalc._minimax import exchange_minimax, lp_minimax
 
@@ -255,7 +255,7 @@ def test_criterion_10_schauder_ratio_stability():
         cfg = ExperimentConfig(Scaling((1,)), operator="laplacian", eta=1.5,
                                alpha=0.5, radius=16, eps_list=(1.0, 0.5, 0.25),
                                ensemble=50, seed=1234)
-        reports = run_schauder_probe(cfg)
+        reports = run_probe(cfg)
         assert len(reports) == 150
         max_ratio = {}
         for eps in cfg.eps_list:
@@ -286,7 +286,7 @@ def test_criterion_11_ivp_probe():
             cfg = ExperimentConfig(Scaling((2, 1)), operator="heat", eta=1.5,
                                    alpha=0.5, radius=8, ensemble=5, seed=7,
                                    time_extent=T)
-            reports = run_ivp_probe(cfg, zero_initial=True)
+            reports = run_probe(cfg, "ivp", zero_initial=True)
             assert len(reports) == 5
             for rep in reports:
                 assert rep.rhs_initial <= 1e-10

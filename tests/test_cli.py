@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from germcalc import Germ, Scaling, save_germ
+from germcalc import Germ, Scaling, jet_germ, load_germ, preset_operator, save_germ
 from germcalc.cli import main
 from germcalc.germs import Window, field_from_text, field_to_text
 
@@ -163,6 +163,58 @@ def _assert_one_line_exit_one(code, err, where, what, name):
     assert code == 1, name
     assert err.startswith("germcalc: invalid input:") and err.count("\n") == 1, name
     assert where in err and what in err, name
+
+
+def test_probe_mode_flags_validated(tmp_path, capsys):
+    germ = zero_germ_file(tmp_path)
+    heat = ("probe", "--scaling", "2,1", "--preset", "heat", "--window", "4", "--mode", "ivp")
+    cases = {
+        "ivp frozen": (heat + ("--germ", "frozen"), "germ=frozen"),
+        "ivp file": (heat + ("--germ", "file", "--germ-file", str(germ)), "germ=file"),
+        "rho schauder": (("probe", "--scaling", "1", "--window", "4", "--rho", "2"), "rho"),
+        "rho ivp": (heat + ("--rho", "2"), "rho"),
+        "zero-initial schauder": (("probe", "--scaling", "1", "--window", "4",
+                                   "--zero-initial"), "zero_initial"),
+        "local without rho": (("probe", "--scaling", "1", "--window", "4", "--mode",
+                               "local"), "rho"),
+    }
+    for name, (argv, what) in cases.items():
+        code, _, err = run_cli(capsys, *argv)
+        _assert_one_line_exit_one(code, err, "", what, name)
+
+
+def test_probe_unknown_config_key_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("scaling=1\nradius=4\nensembel=50\nseeed=4\nthreads=2\n")
+    code, _, err = run_cli(capsys, "probe", "--config", str(cfg))
+    _assert_one_line_exit_one(code, err, "unknown config key", "'ensembel'", "typo")
+    assert "'seeed'" in err and "'threads'" in err
+
+
+def test_probe_germ_file_evaluated_once(tmp_path, capsys, monkeypatch):
+    from germcalc import harness
+
+    L = preset_operator("laplacian", 1)
+    w = Window(L.scaling, 0.5, (-6,), (6,))
+    U = jet_germ(harness.solve_poisson(L, harness.draw_source(harness.member_rng(5, 0), w),
+                                       w).u, w, 1)
+    path = tmp_path / "jet.germ"
+    save_germ(U, path)
+    loads = []
+    monkeypatch.setattr(harness, "load_germ", lambda p: loads.append(p) or load_germ(p))
+    out_csv = tmp_path / "file.csv"
+    argv = ("probe", "--scaling", "1", "--preset", "laplacian", "--germ", "file",
+            "--germ-file", str(path), "--out", str(out_csv))
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(loads) == 1
+    (row,) = [ln.split(",") for ln in out_csv.read_text().splitlines()[1:]]
+    sides = harness.schauder_sides(load_germ(path), L, 1.5, 0.5)
+    assert float(row[1]) == 0.5
+    assert [float(x) for x in row[2:5]] == [sides["lhs"], sides["rhs_operator"],
+                                            sides["rhs_eta_alpha"]]
+    for extra, what in ((("--ensemble", "3"), "ensemble"), (("--eps", "1,0.25"), "eps")):
+        code, _, err = run_cli(capsys, *argv, *extra)
+        _assert_one_line_exit_one(code, err, "germ=file", what, extra[0])
 
 
 def test_malformed_germ_file_exits_one(tmp_path, capsys):

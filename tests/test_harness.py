@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from germcalc import (ExperimentConfig, Scaling, preset_operator, run_ivp_probe,
-                      run_local_probe, run_schauder_probe, schauder_sides,
-                      solve_poisson, summarize)
+from germcalc import (ExperimentConfig, Scaling, preset_operator, run_probe,
+                      schauder_sides, solve_poisson, summarize)
 from germcalc.errors import IllPosedSourceError, ValidationError
 from germcalc.germs import Window, jet_germ
 from germcalc.harness import (config_from_mapping, config_to_dict, draw_source,
@@ -58,8 +57,8 @@ def test_poisson_ill_posed_symbol():
 def test_probe_determinism():
     cfg = ExperimentConfig(Scaling((1,)), operator="laplacian", eta=1.5, alpha=0.5,
                            radius=8, eps_list=(1.0,), ensemble=3, seed=42)
-    a = run_schauder_probe(cfg)
-    b = run_schauder_probe(cfg)
+    a = run_probe(cfg)
+    b = run_probe(cfg)
     assert a == b
     assert {r.member for r in a} == {0, 1, 2}
 
@@ -67,14 +66,14 @@ def test_probe_determinism():
 def test_probe_zero_source():
     cfg = ExperimentConfig(Scaling((1,)), eta=1.5, alpha=0.5, radius=8,
                            ensemble=1, seed=1, source_scale=0.0)
-    rep = run_schauder_probe(cfg)[0]
+    rep = run_probe(cfg)[0]
     assert rep.lhs == rep.rhs == 0.0 and rep.ratio == 0.0
 
 
 def test_probe_jet_rhs_dominated_by_operator_term():
     cfg = ExperimentConfig(Scaling((1,)), eta=1.5, alpha=0.5, radius=8,
                            ensemble=2, seed=5)
-    for rep in run_schauder_probe(cfg):
+    for rep in run_probe(cfg):
         assert rep.rhs_eta_alpha <= 1e-8 * max(1.0, rep.lhs)
         assert rep.rhs_operator > 0
         assert math.isfinite(rep.ratio)
@@ -98,11 +97,11 @@ def test_probe_rescale_invariance():
 def test_ivp_probe_zero_initial_and_time_constant():
     cfg = ExperimentConfig(Scaling((2, 1)), operator="heat", eta=1.5, alpha=0.5,
                            radius=6, ensemble=2, seed=3, time_extent=8)
-    reports = run_ivp_probe(cfg, zero_initial=True)
+    reports = run_probe(cfg, "ivp", zero_initial=True)
     for rep in reports:
         assert rep.rhs_initial <= 1e-10
         assert math.isfinite(rep.ratio)
-    reports = run_ivp_probe(cfg, zero_initial=False)
+    reports = run_probe(cfg, "ivp")
     assert any(r.rhs_initial > 0 for r in reports)
 
 
@@ -110,14 +109,14 @@ def test_ivp_probe_validation():
     cfg = ExperimentConfig(Scaling((1, 1)), operator="laplacian", eta=1.5,
                            alpha=0.5, radius=4, ensemble=1, seed=0)
     with pytest.raises(ValidationError):
-        run_ivp_probe(cfg)
+        run_probe(cfg, "ivp")
 
 
 def test_local_probe_matches_global_for_huge_radius():
     cfg = ExperimentConfig(Scaling((1,)), eta=1.5, alpha=0.5, radius=8,
                            ensemble=1, seed=11)
-    glob = run_schauder_probe(cfg)[0]
-    loc = run_local_probe(cfg, rho=1e6)[0]
+    glob = run_probe(cfg)[0]
+    loc = run_probe(cfg, "local", rho=1e6)[0]
     assert loc.lhs == pytest.approx(glob.lhs, rel=1e-12)
     assert loc.rhs_operator == pytest.approx(glob.rhs_operator, rel=1e-12)
     # the extra rho**-eta sup term is negligible at this radius
@@ -129,7 +128,7 @@ def test_local_probe_rho_sweep_bounded():
                            ensemble=2, seed=13)
     ratios = []
     for rho in (2.0, 4.0, 8.0):
-        reps = run_local_probe(cfg, rho)
+        reps = run_probe(cfg, "local", rho=rho)
         ratios.extend(r.ratio for r in reps)
     assert all(math.isfinite(r) for r in ratios)
 
@@ -164,7 +163,7 @@ def test_config_round_trip(tmp_path):
 def test_csv_and_summary():
     cfg = ExperimentConfig(Scaling((1,)), eta=1.5, alpha=0.5, radius=6,
                            ensemble=2, seed=1, eps_list=(1.0, 0.5))
-    reports = run_schauder_probe(cfg)
+    reports = run_probe(cfg)
     csv = reports_to_csv(reports)
     lines = csv.strip().split("\n")
     assert lines[0].startswith("member,eps,lhs")
@@ -176,11 +175,3 @@ def test_csv_and_summary():
         assert entry["max"] >= entry["median"]
     stats = summarize(reports)
     assert stats["eps"]["1"]["infinite"] == 0
-
-
-def test_probe_threads_deterministic():
-    base = ExperimentConfig(Scaling((1,)), eta=1.5, alpha=0.5, radius=8,
-                            ensemble=4, seed=9)
-    threaded = ExperimentConfig(Scaling((1,)), eta=1.5, alpha=0.5, radius=8,
-                                ensemble=4, seed=9, threads=3)
-    assert run_schauder_probe(base) == run_schauder_probe(threaded)

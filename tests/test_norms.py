@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from germcalc import (DistGerm, Germ, ScaleMap, Scaling, apply_to_germ,
                       build_default_family, frozen_coefficient_germ, holder_bound_ratio,
-                      holder_local, jet_germ, lambda_grid, local_norms, mcshane_extend,
+                      holder_local, jet_germ, lambda_grid, mcshane_extend,
                       norm_G_eta, operator_holder_bound_ratio, preset_operator,
                       reevaluate_report, scale_germ, seminorm_G_eta_alpha,
                       seminorm_G_gamma, sup_below)
@@ -15,7 +15,9 @@ from germcalc.errors import (DomainTooSmallError, InputNotHolderError,
 from germcalc.germs import Window
 from germcalc.norms import pair_minimax, scaled_test_values, verify_family
 from germcalc.geometry import multi_indices
-from germcalc.norms import _factor_modulo_polynomials, _pair_problem
+from germcalc.norms import (_factor_modulo_polynomials, _pair_problem, _poly_columns,
+                            _quiet_bounds)
+from germcalc._minimax import lp_minimax
 
 from conftest import box, germ_restricted, random_germ
 from polyutil import grid_minimax
@@ -45,7 +47,7 @@ def test_G_eta_local_restriction_inactive(rng):
     s = Scaling((1, 1))
     U = random_germ(rng, s, half=3)
     full = norm_G_eta(U, 1.2)
-    loc = local_norms(U, R=U.active.diameter() + 1, eta=1.2)
+    loc = norm_G_eta(U, 1.2, R=U.active.diameter() + 1)
     assert loc.value == full.value
 
 
@@ -90,11 +92,15 @@ def test_eta_alpha_single_pair_grid_oracle(rng):
 
 
 def test_eta_alpha_methods_agree(rng):
+    # the semi-norm (screen plus exchange solves) against the LP reference
+    # on every base pair
     s = Scaling((1, 1))
     U = random_germ(rng, s, half=2)
-    a = seminorm_G_eta_alpha(U, 1.5, 0.5, method="exchange")
-    b = seminorm_G_eta_alpha(U, 1.5, 0.5, method="lp")
-    assert a.value == pytest.approx(b.value, rel=1e-8)
+    a = seminorm_G_eta_alpha(U, 1.5, 0.5)
+    D = s.pairwise_distance(U.base.coords(), U.base.coords())
+    b = max(lp_minimax(*_pair_problem(U, int(xf), int(yf), 1.5, 0.5, None)[:3])[0]
+            for xf, yf in zip(*np.nonzero(D > 0)))
+    assert a.value == pytest.approx(b, rel=1e-8)
 
 
 def test_eta_alpha_witness_replay(rng):
@@ -210,14 +216,14 @@ def test_local_norm_triples(rng):
     Us = scale_germ(U, ScaleMap(s, (1.0, 0.0), R))
     for kind in ("eta", "gamma", "sup"):
         if kind == "eta":
-            lhs = local_norms(Us, R=1.0, eta=1.5).value
-            rhs = R ** 1.5 * local_norms(U, R=R, eta=1.5).value
+            lhs = norm_G_eta(Us, 1.5, R=1.0).value
+            rhs = R ** 1.5 * norm_G_eta(U, 1.5, R=R).value
         elif kind == "gamma":
-            lhs = local_norms(Us, R=1.0, gamma=-0.5).value
-            rhs = R ** 1.5 * local_norms(scale_germ(U, ScaleMap(s, (1.0, 0.0), 1.0)),
-                                         R=R, gamma=-0.5).value * R ** (-2.0)
+            lhs = seminorm_G_gamma(Us, -0.5, R=1.0).value
+            rhs = R ** 1.5 * seminorm_G_gamma(scale_germ(U, ScaleMap(s, (1.0, 0.0), 1.0)),
+                                              -0.5, R=R).value * R ** (-2.0)
             # for a plain germ (no operator), the negative norm scales by R^gamma
-            rhs = R ** (-0.5) * local_norms(U, R=R, gamma=-0.5).value
+            rhs = R ** (-0.5) * seminorm_G_gamma(U, -0.5, R=R).value
         else:
             lhs = sup_below(Us, 1.0).value
             rhs = sup_below(U, R).value
@@ -570,3 +576,38 @@ def test_eta_alpha_screen_matches_pair_oracle(case, kind, complex_values, inner_
     # the largest of them is solved, so they agree up to that level
     assert abs(rep.value - oracle) <= 1e-12 * oracle + noise
     assert reevaluate_report(rep, U) == rep.value
+
+
+@pytest.mark.parametrize("case", [((1,), (-6,), (6,), 1.5, None),
+                                  ((1,), (-6,), (6,), 2.5, 4.5),
+                                  ((1, 1), (-2, -1), (2, 1), 1.5, None),
+                                  ((2, 1), (-2, -2), (2, 2), 1.5, 2.5)])
+def test_quiet_bounds_dominate_exact_values(case):
+    # rank-0 table: integer polynomial rows plus a perturbation that puts the
+    # bound on every pair's spread just under the noise level.  Every bound
+    # must reach the exact minimax value of its pair, which the polynomial
+    # rows do not change; HiGHS solves the perturbation alone, normalized
+    s, lo, hi, eta, R = Scaling(case[0]), case[1], case[2], case[3], case[4]
+    alpha = eta / 3
+    rng = np.random.default_rng(11)
+    w = Window(s, 1.0, lo, hi)
+    P = _poly_columns(w.coords(), multi_indices(s, math.floor(eta)))
+    poly = rng.integers(-3, 4, size=(w.npoints, P.shape[1])) @ P.T
+    pert = rng.standard_normal(poly.shape)
+    spread = None
+    for _ in range(2):  # the spread is linear in the perturbation size
+        pert *= 0.95 * 1e-12 * np.max(np.abs(poly)) / (spread or 1.0)
+        U = Germ(w, w, poly + pert)
+        coef, psi, rho = factor = _factor_modulo_polynomials(U, eta)
+        spread = 2 * float(np.ptp(coef) * np.max(np.abs(psi)) + 2 * np.max(rho))
+    noise = 1e-12 * float(np.max(np.abs(U.values)))
+    assert 0.9 * noise <= spread <= noise
+    Dxy = s.pairwise_distance(w.coords(), w.coords())
+    pairs = (Dxy > 0) & (Dxy < (R or np.inf))
+    ub, _, _, xs, ys = _quiet_bounds(U, Dxy, pairs, eta, alpha, R, factor, noise)
+    assert xs.size > 0
+    exact_pert = Germ(w, w, U.values - poly)  # exact: Sterbenz
+    for bound, xf, yf in zip(ub, xs, ys):
+        Phi, r, wts, _ = _pair_problem(exact_pert, int(xf), int(yf), eta, alpha, R)
+        scale = float(np.max(np.abs(r)))
+        assert bound >= lp_minimax(Phi, r / scale, wts)[0] * scale * (1 - 1e-6)
