@@ -1,15 +1,13 @@
 """Weighted discrete Chebyshev (minimax) fitting.
 
 Solves  min over c  of  max_i |r_i - (Phi c)_i| / w_i  on a finite point set
-with strictly positive weights.  ``solve_minimax`` runs one route:
+with strictly positive weights.  ``solve_minimax`` takes one exact route per
+problem shape:
 
-* ``exchange_minimax`` -- reference/exchange iteration (a dual-simplex walk
-  on the classical reformulation).  Deterministic, fast, and
-  self-certifying: it returns once the reference value (a weak-duality lower
-  bound) matches the achieved maximum of its fit.
-* ``lp_minimax`` -- scipy ``linprog`` (HiGHS) on the standard epigraph
-  formulation; the exchange iteration falls back to it on stall, and tests
-  use it as the reference.
+* p <= 2 free coefficients: constraint generation (``_vertex_minimax``),
+  each working set solved by enumerating the vertices of its epigraph;
+* p >= 3, Phi of rank below p, or a working set past ``_MAX_WORKING``:
+  ``lp_minimax``, scipy ``linprog`` (HiGHS), also the tests' reference.
 
 Both report the *achieved* maximum ratio of the fit they return, so values
 are reproducible by direct evaluation.
@@ -17,18 +15,19 @@ are reproducible by direct evaluation.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 _CERT_RTOL = 1e-12
-_MAX_EXCHANGE_ITERS = 120
+_MAX_VERTEX_P = 2
+# C(n, p+1) 2^p vertices per round: a working set past this size is handed to
+# the LP before the enumeration can exhaust memory
+_MAX_WORKING = 32
 
 
 def achieved_value(Phi: np.ndarray, r: np.ndarray, w: np.ndarray, c: np.ndarray) -> float:
-    if Phi.shape[1]:
-        res = r - Phi @ c
-    else:
-        res = r
-    return float(np.max(np.abs(res) / w)) if r.size else 0.0
+    return float(np.max(np.abs(r - Phi @ c) / w)) if r.size else 0.0
 
 
 def weighted_lstsq(Phi: np.ndarray, r: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -38,110 +37,79 @@ def weighted_lstsq(Phi: np.ndarray, r: np.ndarray, w: np.ndarray) -> np.ndarray:
     return sol
 
 
-def _reference_value(Phi_S, r_S, w_S):
-    """Lower bound + tentative fit from a (p+1)-point reference set.
-
-    Returns (t, c) where t is a weak-duality lower bound for the full
-    problem restricted to S, or None when the reference is degenerate.
-    """
-    p = Phi_S.shape[1]
-    if p == 0:
-        i = int(np.argmax(np.abs(r_S) / w_S))
-        return float(np.abs(r_S[i]) / w_S[i]), np.zeros(0)
-    # null vector of Phi_S^T selects the equioscillation signs
-    _, sv, Vh = np.linalg.svd(Phi_S.T, full_matrices=True)
-    if sv.size < p or sv[-1] <= 1e-13 * max(sv[0], 1e-300):
-        return None
-    y = Vh[-1]
-    den = float(np.sum(np.abs(y) * w_S))
-    if den <= 1e-300:
-        return None
-    num = float(y @ r_S)
-    t = abs(num) / den
-    s0 = 1.0 if num >= 0 else -1.0
-    sigma = np.where(y >= 0, s0, -s0)
-    c, *_ = np.linalg.lstsq(Phi_S, r_S - t * sigma * w_S, rcond=None)
-    return t, c
-
-
-def _residual_order(Phi, r, w):
-    """Point indices by decreasing weighted residual of the least-squares fit."""
-    res = np.abs(r - Phi @ weighted_lstsq(Phi, r, w)) / w
-    return np.argsort(-res, kind="stable")
-
-
-def _rank_repaired_reference(Phi, order):
-    """Pivoted-QR reference selection for rank-deficient starts."""
+def _start_set(Phi: np.ndarray, order: np.ndarray):
+    """Shortest prefix of ``order`` with over p points and Phi of rank p, or None."""
     p = Phi.shape[1]
-    pool = order[:8 * (p + 1)]
-    import scipy.linalg
-
-    _, _, piv = scipy.linalg.qr(Phi[pool].T, pivoting=True)
-    S = list(pool[piv[:p]])
-    for j in order:
-        if j not in S:
-            S.append(j)
-            break
-    return np.array(sorted(S), dtype=np.intp)
+    basis: list[int] = []
+    for k, i in enumerate(order):
+        if len(basis) < p and np.linalg.matrix_rank(Phi[basis + [i]]) > len(basis):
+            basis.append(i)
+        if len(basis) == p and k >= p:
+            return order[:k + 1]
+    return None
 
 
-def exchange_minimax(Phi: np.ndarray, r: np.ndarray, w: np.ndarray):
-    """Reference/exchange iteration; returns (value, coefficients).
+def _best_vertex(Phi: np.ndarray, r: np.ndarray, w: np.ndarray):
+    """Exact minimax fit on a small point set: (coefficients, value), or None.
 
-    Certifies optimality by matching the reference lower bound against the
-    achieved maximum; falls back to the LP route when a reference turns
-    degenerate or the ascent stalls.
+    Each vertex of the epigraph ``|r - Phi c| <= t w`` solves p+1 active
+    constraints ``Phi_i c + s_i w_i t = r_i``: every (p+1)-point subset and
+    sign pattern is solved in one batch, the first sign fixed since flipping
+    all signs only flips t.  As Phi has rank p an optimum is a vertex: the
+    vertex fit with the least achieved maximum.  Singular systems are skipped.
     """
-    n, p = Phi.shape
-    if n == 0:
-        return 0.0, np.zeros(p)
-    if n <= p:
-        c, *_ = np.linalg.lstsq(Phi, r, rcond=None)
-        return achieved_value(Phi, r, w, c), c
-    order = _residual_order(Phi, r, w)
-    S = np.sort(order[:p + 1])
-    if _reference_value(Phi[S], r[S], w[S]) is None:
-        S = _rank_repaired_reference(Phi, order)
-    best = None
-    for _ in range(_MAX_EXCHANGE_ITERS):
-        ref = _reference_value(Phi[S], r[S], w[S])
-        if ref is None:
-            break
-        t, c = ref
-        res = np.abs(r - Phi @ c) / w if p else np.abs(r) / w
-        j_star = int(np.argmax(res))
-        if best is None or res[j_star] < best[0]:
-            best = (float(res[j_star]), c)
-        if res[j_star] <= t * (1 + _CERT_RTOL) + 1e-300:
-            return float(res[j_star]), c
-        if j_star in S:
-            break
-        # greedy single exchange: admit the worst point, drop to maximize t
-        t_next, S_next = t, None
-        for i in range(S.size):
-            cand = S.copy()
-            cand[i] = j_star
-            ref_i = _reference_value(Phi[cand], r[cand], w[cand])
-            if ref_i is not None and ref_i[0] > t_next * (1 + 1e-15):
-                t_next, S_next = ref_i[0], np.sort(cand)
-        if S_next is None:
-            break
-        S = S_next
-    value, c = lp_minimax(Phi, r, w)
-    if best is not None and best[0] < value:
-        return best
-    return value, c
+    k, p = Phi.shape
+    subsets = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(k), p + 1)), dtype=np.intp).reshape(-1, p + 1)
+    signs = np.array([(1.0,) + s for s in itertools.product((1.0, -1.0), repeat=p)])
+    M = np.empty((subsets.shape[0], signs.shape[0], p + 1, p + 1))
+    M[..., :p] = Phi[subsets][:, None]
+    M[..., p] = w[subsets][:, None] * signs
+    M = M.reshape(-1, p + 1, p + 1)
+    b = np.repeat(r[subsets], signs.shape[0], axis=0)
+    ok = np.abs(np.linalg.det(M)) > 1e-13 * np.prod(np.linalg.norm(M, axis=2), axis=1)
+    if not ok.any():
+        return None
+    C = np.linalg.solve(M[ok], b[ok][..., None])[:, :p, 0]
+    worst = np.max(np.abs(r[None, :] - C @ Phi.T) / w[None, :], axis=1)
+    i = int(np.argmin(worst))
+    return C[i], float(worst[i])
+
+
+def _vertex_minimax(Phi: np.ndarray, r: np.ndarray, w: np.ndarray):
+    """Constraint generation; (value, coefficients), or None for the LP.
+
+    The working set starts from the points with the largest ``|r|/w`` and
+    gains the worst point each round.  Its optimum t bounds the whole
+    problem below, so a fit whose maximum over all points is at most
+    ``t (1 + 1e-12)`` plus 1e-14 max ``|r|/w`` for rounding is optimal.
+    """
+    ratio = np.abs(r) / w
+    order = np.argsort(-ratio, kind="stable")
+    S = _start_set(Phi, order)
+    slack = 1e-14 * float(ratio[order[0]])
+    while S is not None and S.size <= _MAX_WORKING:
+        best = _best_vertex(Phi[S], r[S], w[S])
+        if best is None:
+            return None
+        c, t = best
+        res = np.abs(r - Phi @ c) / w
+        j = int(np.argmax(res))
+        if res[j] <= t * (1 + _CERT_RTOL) + slack:
+            return float(res[j]), c
+        S = np.append(S, j)
+    return None
 
 
 def lp_minimax(Phi: np.ndarray, r: np.ndarray, w: np.ndarray):
     """Epigraph LP via scipy linprog (HiGHS); returns (value, coefficients)."""
-    from scipy.optimize import linprog
-
     n, p = Phi.shape
     if n == 0:
         return 0.0, np.zeros(p)
     if p == 0:
         return float(np.max(np.abs(r) / w)), np.zeros(0)
+    from scipy.optimize import linprog
+
     A_ub = np.block([[Phi, -w[:, None]], [-Phi, -w[:, None]]])
     b_ub = np.concatenate([r, -r])
     cost = np.zeros(p + 1)
@@ -154,10 +122,19 @@ def lp_minimax(Phi: np.ndarray, r: np.ndarray, w: np.ndarray):
     return achieved_value(Phi, r, w, c), c
 
 
-def solve_minimax(Phi: np.ndarray, r: np.ndarray, w: np.ndarray):
-    """Front end handling complex data by splitting into real and imaginary parts.
+def _real_minimax(Phi: np.ndarray, r: np.ndarray, w: np.ndarray):
+    if r.size and Phi.shape[1] <= _MAX_VERTEX_P:
+        found = _vertex_minimax(Phi, r, w)
+        if found is not None:
+            return found
+    return lp_minimax(Phi, r, w)
 
-    For complex data the returned value is the achieved modulus ratio of the
+
+def solve_minimax(Phi: np.ndarray, r: np.ndarray, w: np.ndarray):
+    """Exact weighted minimax fit; returns (value, coefficients).
+
+    Complex data is split into real and imaginary parts, each fitted
+    exactly.  The returned value is then the achieved modulus ratio of the
     combined fit: an attainable upper bound within sqrt(2) of the modulus
     infimum, and exactly the minimax value for real data.
     """
@@ -166,9 +143,9 @@ def solve_minimax(Phi: np.ndarray, r: np.ndarray, w: np.ndarray):
     w = np.asarray(w, dtype=float)
     if np.iscomplexobj(r):
         if np.any(r.imag):
-            _, cre = exchange_minimax(Phi, np.ascontiguousarray(r.real), w)
-            _, cim = exchange_minimax(Phi, np.ascontiguousarray(r.imag), w)
+            _, cre = _real_minimax(Phi, np.ascontiguousarray(r.real), w)
+            _, cim = _real_minimax(Phi, np.ascontiguousarray(r.imag), w)
             c = cre + 1j * cim
             return achieved_value(Phi, r, w, c), c
         r = np.ascontiguousarray(r.real)
-    return exchange_minimax(Phi, r, w)
+    return _real_minimax(Phi, r, w)

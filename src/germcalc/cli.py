@@ -7,6 +7,7 @@ Every subcommand supports ``--json`` for machine-readable output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -46,6 +47,8 @@ def _parse_floats(text):
     return tuple(float(x) for x in text.split(","))
 
 
+# one parser per process: parsing does not change it, and a build costs about 3 ms
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="germcalc",
                  description="anisotropic germ calculus on lattice windows")

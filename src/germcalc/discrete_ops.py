@@ -94,45 +94,35 @@ def apply_to_field(L: DiffOperator, f: np.ndarray, window: Window):
     f = np.asarray(f)
     if f.shape != window.shape:
         raise DimensionError(f"field shape {f.shape} != window shape {window.shape}")
-    fwd, bwd = L.stencil_reach()
-    out_win = window.shrink(lo_margin=bwd, hi_margin=fwd)
-    steps = window.steps
-    out = np.zeros(out_win.shape, dtype=complex)
-    for g, dl, a in L.terms:
-        arr = f
-        for j in range(L.d):
-            n = g[j] + dl[j]
-            if n:
-                arr = iterated_diff(arr, j, n, steps[j])
-        # arr entry i sits at lattice index lo + dl + i on each axis
-        sel = tuple(slice(bwd[j] - dl[j], bwd[j] - dl[j] + out_win.shape[j])
-                    for j in range(L.d))
-        out = out + a * arr[sel]
-    if np.all(out.imag == 0):
-        out = out.real
-    return out, out_win
+    return _apply_stencils(L, f, window, 0)
 
 
 def apply_to_germ(L: DiffOperator, U: Germ) -> DistGerm:
     """Apply the operator to the active variable, base point fixed."""
+    vals = U.values.reshape((U.base.npoints,) + U.active.shape)
+    out, out_win = _apply_stencils(L, vals, U.active, 1)
+    return DistGerm(U.base, out_win, out.reshape(U.base.npoints, out_win.npoints))
+
+
+def _apply_stencils(L: DiffOperator, arr: np.ndarray, window: Window, lead: int):
+    """The operator along the window axes of ``arr``, which follow ``lead``
+    untouched axes; returns (values, shrunk window)."""
     fwd, bwd = L.stencil_reach()
-    act = U.active
-    out_win = act.shrink(lo_margin=bwd, hi_margin=fwd)
-    vals = U.values.reshape((U.base.npoints,) + act.shape)
-    out = np.zeros((U.base.npoints,) + out_win.shape, dtype=complex)
+    out_win = window.shrink(lo_margin=bwd, hi_margin=fwd)
+    out = np.zeros(arr.shape[:lead] + out_win.shape, dtype=complex)
     for g, dl, a in L.terms:
-        arr = vals
+        diff = arr
         for j in range(L.d):
             n = g[j] + dl[j]
             if n:
-                arr = iterated_diff(arr, j + 1, n, act.steps[j])
-        sel = (slice(None),) + tuple(
-            slice(bwd[j] - dl[j], bwd[j] - dl[j] + out_win.shape[j])
-            for j in range(L.d))
-        out = out + a * arr[sel]
+                diff = iterated_diff(diff, j + lead, n, window.steps[j])
+        # diff entry i sits at lattice index lo + dl + i on each window axis
+        sel = (slice(None),) * lead + tuple(
+            slice(bwd[j] - dl[j], bwd[j] - dl[j] + out_win.shape[j]) for j in range(L.d))
+        out = out + a * diff[sel]
     if np.all(out.imag == 0):
         out = out.real
-    return DistGerm(U.base, out_win, out.reshape(U.base.npoints, out_win.npoints))
+    return out, out_win
 
 
 def adjoint(L: DiffOperator) -> DiffOperator:
@@ -316,12 +306,26 @@ def continuum_symbol_scan(L: DiffOperator, samples: int = 1000):
 
 
 def _discrete_grid_scan(L: DiffOperator, eps: float, resolution: int):
+    """Dual-torus grid, ``resolution`` points per axis, and |lattice symbol| there."""
     bounds = dual_torus_bounds(L.scaling, eps)
     axes = [(-b + 2 * b * np.arange(resolution) / resolution) for b in bounds]
     mesh = np.meshgrid(*axes, indexing="ij")
     T = np.stack([m.ravel() for m in mesh], axis=1)
-    vals = np.abs(discrete_symbol(L, eps, T)).reshape([resolution] * L.d)
-    return axes, T, vals
+    return T, np.abs(discrete_symbol(L, eps, T))
+
+
+def _refined_minima(L: DiffOperator, eps: float, starts):
+    """Nelder-Mead minimisations of |lattice symbol|^2 inside the dual torus,
+    one per start, run only as the caller asks for them; yields
+    (|symbol| at the minimiser, minimiser)."""
+    from scipy.optimize import minimize
+
+    box = [(-b, b) for b in dual_torus_bounds(L.scaling, eps)]
+    for start in starts:
+        res = minimize(lambda t: float(abs(discrete_symbol(L, eps, t)) ** 2),
+                       start, method="Nelder-Mead", bounds=box,
+                       options={"xatol": 1e-13, "fatol": 1e-300, "maxiter": 800})
+        yield math.sqrt(max(res.fun, 0.0)), np.asarray(res.x)
 
 
 def _near_origin(theta, bounds, resolution, cells: float) -> bool:
@@ -339,8 +343,6 @@ def is_discretely_elliptic(L: DiffOperator, eps: float = 1.0,
     continuum symbol is scanned on a direction sphere.  The combined verdict
     requires both scans clean.
     """
-    from scipy.optimize import minimize
-
     if resolution < 8:
         raise ValidationError("resolution must be at least 8 per axis")
     scale = L.coeff_scale() * eps ** (-L.order)
@@ -358,25 +360,22 @@ def is_discretely_elliptic(L: DiffOperator, eps: float = 1.0,
 
     bounds = dual_torus_bounds(L.scaling, eps)
     excl = max(1.0, resolution / 16)
-    axes, T, vals = _discrete_grid_scan(L, eps, resolution)
+    T, vals = _discrete_grid_scan(L, eps, resolution)
     keep = ~np.array([_near_origin(t, bounds, resolution, excl) for t in T])
-    kept_vals = np.abs(vals).ravel()[keep]
+    kept_vals = vals[keep]
     kept_T = T[keep]
     order = np.argsort(kept_vals)
     d_wit = None
     d_min = float(kept_vals[order[0]]) if order.size else math.inf
-    box = [(-b, b) for b in bounds]
-    for i in order[:8]:
-        res = minimize(lambda t: float(abs(discrete_symbol(L, eps, t)) ** 2),
-                       kept_T[i], method="Nelder-Mead", bounds=box,
-                       options={"xatol": 1e-13, "fatol": 1e-300, "maxiter": 800})
-        v = math.sqrt(max(res.fun, 0.0))
-        theta = tuple(float(x) for x in res.x)
-        if v <= zero_tol and not _near_origin(theta, bounds, resolution, excl):
+    for v, x in _refined_minima(L, eps, kept_T[order[:8]]):
+        theta = tuple(float(t) for t in x)
+        if _near_origin(theta, bounds, resolution, excl):
+            continue
+        if v <= zero_tol:
             d_wit = theta
             d_min = v
             break
-        d_min = min(d_min, v) if not _near_origin(theta, bounds, resolution, excl) else d_min
+        d_min = min(d_min, v)
     if d_wit is not None:
         d_verdict = "not-elliptic"
     elif d_min > margin_tol:

@@ -65,12 +65,7 @@ class Scaling:
 
     def distance(self, x, y) -> float:
         """Anisotropic distance: sum over axes of ``|x_j - y_j|**(1/s[j])``."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        self.check_dim(x)
-        self.check_dim(y)
-        return float(sum(_root(abs(float(a) - float(b)), w)
-                         for a, b, w in zip(x, y, self.s)))
+        return float(self.pairwise_distance(x, y)[0, 0])
 
     def pairwise_distance(self, X, Y) -> np.ndarray:
         """Distance matrix between point sets X (n, d) and Y (m, d)."""
@@ -80,24 +75,9 @@ class Scaling:
             raise DimensionError("point arrays must have d columns")
         out = np.zeros((X.shape[0], Y.shape[0]))
         for j, w in enumerate(self.s):
-            out += _root_arr(np.abs(X[:, j, None] - Y[None, :, j]), w)
+            t = np.abs(X[:, j, None] - Y[None, :, j])
+            out += t if w == 1 else np.sqrt(t) if w == 2 else t ** (1.0 / w)
         return out
-
-
-def _root(t: float, w: int) -> float:
-    if w == 1:
-        return t
-    if w == 2:
-        return float(np.sqrt(t))
-    return float(t ** (1.0 / w))
-
-
-def _root_arr(t: np.ndarray, w: int) -> np.ndarray:
-    if w == 1:
-        return t
-    if w == 2:
-        return np.sqrt(t)
-    return t ** (1.0 / w)
 
 
 def multi_indices(scaling: Scaling, max_degree: float) -> list[MultiIndex]:
@@ -142,12 +122,6 @@ class ScaleMap:
         y = np.asarray(y, dtype=float)
         self.scaling.check_dim(y)
         return np.asarray(self.w) + self.scaling.dilate(self.R, y)
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Apply to an (n, d) array of points."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        factors = np.array([self.R ** s for s in self.scaling.s])
-        return np.asarray(self.w)[None, :] + points * factors[None, :]
 
     def inverse(self) -> "ScaleMap":
         Rinv = 1.0 / self.R

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .errors import (
     LatticeCompatibilityError,
     ValidationError,
 )
-from .geometry import MultiIndex, ScaleMap, Scaling, _root, _root_arr, multi_indices
+from .geometry import MultiIndex, ScaleMap, Scaling, multi_indices
 
 #: Soft cap on window points per axis; dense tables are O(N^2) in the number
 #: of window points, so larger windows are refused by default.
@@ -73,14 +74,22 @@ class Window:
         return tuple(self.eps ** s for s in self.scaling.s)
 
     def indices(self) -> np.ndarray:
-        """(npoints, d) integer indices in C order."""
-        grids = np.meshgrid(*[np.arange(l, h + 1) for l, h in zip(self.lo, self.hi)],
-                            indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
+        """(npoints, d) integer indices in C order; built once, read-only."""
+        return self._tables[0]
 
     def coords(self) -> np.ndarray:
-        """(npoints, d) physical coordinates in C order."""
-        return self.indices().astype(float) * np.array(self.steps)[None, :]
+        """(npoints, d) physical coordinates in C order; built once, read-only."""
+        return self._tables[1]
+
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        grids = np.meshgrid(*[np.arange(l, h + 1) for l, h in zip(self.lo, self.hi)],
+                            indexing="ij")
+        idx = np.stack([g.ravel() for g in grids], axis=1)
+        xyz = idx.astype(float) * np.array(self.steps)[None, :]
+        idx.flags.writeable = False
+        xyz.flags.writeable = False
+        return idx, xyz
 
     def flat(self, idx) -> int:
         """Flat position of an index tuple, C order."""
@@ -99,27 +108,17 @@ class Window:
             raise BoundaryError("window too small for the requested margins")
         return Window(self.scaling, self.eps, lo, hi)
 
-    def shift(self, offset) -> "Window":
-        lo = tuple(l + int(o) for l, o in zip(self.lo, offset))
-        hi = tuple(h + int(o) for h, o in zip(self.hi, offset))
-        return Window(self.scaling, self.eps, lo, hi)
+    def physical(self, idx) -> np.ndarray:
+        """Physical coordinates of one lattice index."""
+        return np.asarray(idx, dtype=float) * np.array(self.steps)
 
     def diameter(self) -> float:
         """Largest anisotropic distance between two window points."""
-        return float(sum(_root(float(h - l) * st, s) for l, h, st, s in
-                         zip(self.lo, self.hi, self.steps, self.scaling.s)))
+        return self.scaling.distance(self.physical(self.lo), self.physical(self.hi))
 
     def ball(self, center_idx, r: float) -> np.ndarray:
-        """Flat positions of window points within closed distance r of center.
-
-        Iterates the bounding box of half-widths ``r**s[j]`` and filters by
-        the exact distance predicate.
-        """
-        c = np.asarray(center_idx, dtype=np.int64)
-        idx = self.indices()
-        dist = np.zeros(idx.shape[0])
-        for j, (st, s) in enumerate(zip(self.steps, self.scaling.s)):
-            dist += _root_arr(np.abs(idx[:, j] - c[j]) * st, s)
+        """Flat positions of window points within closed distance r of center."""
+        dist = self.scaling.pairwise_distance(self.coords(), self.physical(center_idx))[:, 0]
         return np.nonzero(dist <= r * (1 + 1e-12))[0]
 
     def ball_fits(self, center_idx, r: float) -> bool:
@@ -178,9 +177,12 @@ class Germ:
     def eps(self) -> float:
         return self.base.eps
 
-    def row(self, base_idx) -> np.ndarray:
-        """The function attached to one base point, over the active window."""
-        return self.values[self.base.flat(base_idx)]
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """(base, active) table of d(x, y); built once, read-only."""
+        D = self.scaling.pairwise_distance(self.base.coords(), self.active.coords())
+        D.flags.writeable = False
+        return D
 
     def __add__(self, other: "Germ") -> "Germ":
         if self.base != other.base or self.active != other.active:
@@ -215,18 +217,15 @@ def _difference_coefficients(u: np.ndarray, window: Window, gammas, base: Window
                       base.hi[j] - window.lo[j] + 1) for j in range(window.d))
     for g in gammas:
         if g not in tables:
-            # build from a predecessor by one more forward difference
+            # one more forward difference of a predecessor, which has lower
+            # degree and so comes earlier in ``gammas``
             j = next(ax for ax in range(window.d) if g[ax] > 0)
             prev = tuple(x - (1 if ax == j else 0) for ax, x in enumerate(g))
-            if prev not in tables:
-                _difference_coefficients(u, window, [prev], base)  # pragma: no cover
             tables[g] = iterated_diff(tables[prev], j, 1, window.steps[j])
         arr = tables[g]
         if any(arr.shape[j] < base.hi[j] - base.lo[j] + 1 for j in range(window.d)):
             raise BoundaryError("difference stencil exits the window; shrink the base set")
         coeffs[g] = arr[sel].reshape(-1)
-        # keep predecessors for later gammas
-        tables[g] = arr
     return coeffs
 
 
@@ -258,14 +257,10 @@ def jet_germ(u: np.ndarray, window: Window, order: int) -> Germ:
     if order < 0:
         raise ValueError("jet order must be >= 0")
     base = window.shrink(hi_margin=jet_margins(scaling, order))
-    gammas = multi_indices(scaling, order)
-    coeffs = _difference_coefficients(u, window, gammas, base)
+    coeffs = _difference_coefficients(u, window, multi_indices(scaling, order), base)
     vals = np.repeat(np.asarray(u).reshape(1, -1), base.npoints, axis=0)
     vals = np.array(vals, dtype=np.result_type(u, float))
-    for g in gammas:
-        fact = math.prod(math.factorial(k) for k in g)
-        vals -= (coeffs[g] / fact)[:, None] * lattice_monomial_pair(base, window, g)
-    return Germ(base, window, vals)
+    return _minus_jets(vals, coeffs, base, window)
 
 
 def frozen_coefficient_germ(u: np.ndarray, v: np.ndarray, a: np.ndarray,
@@ -286,10 +281,15 @@ def frozen_coefficient_germ(u: np.ndarray, v: np.ndarray, a: np.ndarray,
     vf = np.asarray(v).reshape(-1)
     vals = uf[None, :] - a_base[:, None] * vf[None, :]
     vals = np.array(vals, dtype=np.result_type(u, v, a, float))
-    for g in gammas:
+    return _minus_jets(vals, {g: cu[g] - a_base * cv[g] for g in gammas}, base, window)
+
+
+def _minus_jets(vals: np.ndarray, coeffs: dict, base: Window, window: Window) -> Germ:
+    """Germ ``vals - Q_x``: Q_x is the falling-factorial polynomial with
+    ``coeffs[gamma][x] / gamma!`` in front of the monomial gamma."""
+    for g, c in coeffs.items():
         fact = math.prod(math.factorial(k) for k in g)
-        coef = (cu[g] - a_base * cv[g]) / fact
-        vals -= coef[:, None] * lattice_monomial_pair(base, window, g)
+        vals -= (c / fact)[:, None] * lattice_monomial_pair(base, window, g)
     return Germ(base, window, vals)
 
 

@@ -30,7 +30,8 @@ _FMT = "%.17g"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Probe configuration; radii and extents are in lattice index units."""
+    """Probe configuration; radii and extents are in lattice index units.
+    With ``germ=file``, ``eps_list`` is empty or holds the file's own eps."""
 
     scaling: Scaling
     operator: str = "laplacian"
@@ -67,14 +68,16 @@ class ExperimentConfig:
                         f"{name}={v} is an integer order; pass allow_integer_orders to override")
         if self.ensemble < 1:
             raise ValidationError("ensemble size must be >= 1")
-        if self.radius < 1:
-            raise ValidationError("window radius must be >= 1")
-        points = max(2 * self.radius, self.time_extent or 0) + 1
-        if points > MAX_POINTS_PER_AXIS:
-            extent = "" if self.time_extent is None else f" and time extent {self.time_extent}"
-            raise ValidationError(
-                f"a window of radius {self.radius}{extent} has {points} points on an axis; "
-                f"at most {MAX_POINTS_PER_AXIS} are allowed")
+        if self.germ != "file":  # a germ file brings its own window
+            if self.radius < 1:
+                raise ValidationError("window radius must be >= 1")
+            points = max(2 * self.radius, self.time_extent or 0) + 1
+            if points > MAX_POINTS_PER_AXIS:
+                extent = ("" if self.time_extent is None
+                          else f" and time extent {self.time_extent}")
+                raise ValidationError(
+                    f"a window of radius {self.radius}{extent} has {points} points on an "
+                    f"axis; at most {MAX_POINTS_PER_AXIS} are allowed")
         if any(e <= 0 for e in self.eps_list):
             raise ValidationError("grid scales must be positive")
         if self.germ not in ("jet", "frozen", "file"):
@@ -96,7 +99,6 @@ class RatioReport:
     rhs_eta_alpha: float
     rhs_initial: float
     rhs_local_sup: float
-    window: dict
 
     @property
     def rhs(self) -> float:
@@ -227,7 +229,8 @@ def run_probe(cfg: ExperimentConfig, mode: str = "schauder", rho: float | None =
     * ``local``: every norm restricted below ``rho``, plus the
       ``rho**(-eta)``-weighted sup below rho.
 
-    ``germ=file`` evaluates the file's germ once, at the file's grid scale.
+    ``germ=file`` evaluates the file's germ once, at the file's grid scale;
+    an eps given with it must be that scale.
     """
     if mode not in MODES:
         raise ValidationError(f"unknown probe mode {mode!r}")
@@ -252,6 +255,9 @@ def run_probe(cfg: ExperimentConfig, mode: str = "schauder", rho: float | None =
         if U.scaling != L.scaling:
             raise ValidationError(f"germ file scaling {U.scaling.s} does not match "
                                   f"operator scaling {L.scaling.s}")
+        if cfg.eps_list and cfg.eps_list[0] != U.eps:
+            raise ValidationError(f"germ=file: the file's eps is {_FMT % U.eps}, "
+                                  f"not {_FMT % cfg.eps_list[0]}")
         germs = [(0, U)]
     else:
         germs = ((member, _build_germ(cfg, L, _probe_window(cfg, eps),
@@ -264,8 +270,7 @@ def run_probe(cfg: ExperimentConfig, mode: str = "schauder", rho: float | None =
                        if mode == "ivp" else 0.0)
         rhs_local_sup = rho ** (-cfg.eta) * sup_below(U, rho).value if mode == "local" else 0.0
         reports.append(RatioReport(member, U.eps, sides["lhs"], sides["rhs_operator"],
-                                   sides["rhs_eta_alpha"], rhs_initial, rhs_local_sup,
-                                   _window_dict(U.active)))
+                                   sides["rhs_eta_alpha"], rhs_initial, rhs_local_sup))
     return reports
 
 
@@ -278,11 +283,6 @@ def rescaled_sides(U: Germ, L: DiffOperator, eta: float, alpha: float, R: float,
     to unit grid scale."""
     Us = scale_germ(U, ScaleMap(U.scaling, (0.0,) * U.scaling.d, R))
     return schauder_sides(Us, L, eta, alpha, family)
-
-
-def _window_dict(window: Window) -> dict:
-    return {"s": list(window.scaling.s), "eps": window.eps,
-            "lo": list(window.lo), "hi": list(window.hi)}
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +383,7 @@ def config_from_mapping(kv: dict) -> ExperimentConfig:
         except ValueError as exc:
             raise ValidationError(f"invalid {key} {v!r}: {exc}") from None
 
+    germ = get("germ", str, "jet")
     cfg = ExperimentConfig(
         scaling=get("scaling", parse_scaling, "1,1"),
         operator=get("operator", str, "laplacian"),
@@ -390,10 +391,12 @@ def config_from_mapping(kv: dict) -> ExperimentConfig:
         eta=get("eta", float, 1.5),
         alpha=get("alpha", float, 0.5),
         radius=get("radius", int, 8),
-        eps_list=get("eps", lambda v: tuple(float(x) for x in str(v).split(",")), "1"),
+        # a germ file brings its own grid scale
+        eps_list=get("eps", lambda v: tuple(float(x) for x in str(v).split(",")),
+                     None if germ == "file" else "1") or (),
         ensemble=get("ensemble", int, 1),
         seed=get("seed", int, 0),
-        germ=get("germ", str, "jet"),
+        germ=germ,
         germ_file=get("germ_file", str),
         source_scale=get("source_scale", float, 1.0),
         time_extent=get("time_extent", int),

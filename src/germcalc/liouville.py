@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete_ops import DiffOperator, apply_to_field, discrete_monomial, discrete_symbol, dual_torus_bounds
+from .discrete_ops import (DiffOperator, _discrete_grid_scan, _refined_minima, apply_to_field,
+                           discrete_monomial, dual_torus_bounds)
 from .geometry import MultiIndex, Scaling, multi_indices
 from .germs import Window, iterated_diff
 
@@ -166,35 +167,20 @@ def symbol_zero_search(L: DiffOperator, eps: float = 1.0, resolution: int = 64,
     is certified by applying the operator to the corresponding complex
     exponential on a window and recording the sup residual.
     """
-    from scipy.optimize import minimize
-
-    scaling = L.scaling
-    bounds = dual_torus_bounds(scaling, eps)
-    axes = [(-b + 2 * b * np.arange(resolution) / resolution) for b in bounds]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    T = np.stack([m.ravel() for m in mesh], axis=1)
-    vals = np.abs(discrete_symbol(L, eps, T))
+    bounds = dual_torus_bounds(L.scaling, eps)
+    T, vals = _discrete_grid_scan(L, eps, resolution)
     scale = max(1.0, L.coeff_scale() * eps ** (-L.order))
     tol = 1e-10 * scale
     cell = np.array([2 * b / resolution for b in bounds])
-    seeds = list(np.argsort(vals)[:16])
-    zeros: list[tuple[float, ...]] = []
     records: list[SymbolZero] = []
-    box = [(-b, b) for b in bounds]
-    for i in seeds:
-        res = minimize(lambda t: float(abs(discrete_symbol(L, eps, t)) ** 2),
-                       T[i], method="Nelder-Mead", bounds=box,
-                       options={"xatol": 1e-13, "fatol": 1e-300, "maxiter": 800})
-        v = math.sqrt(max(res.fun, 0.0))
-        theta = np.asarray(res.x)
+    for v, theta in _refined_minima(L, eps, T[np.argsort(vals)[:16]]):
         if v > tol:
             continue
         if np.all(np.abs(theta) <= 1.5 * cell):
             continue  # the trivial zero at the origin
-        if any(np.all(np.abs(theta - np.asarray(z)) <= cell) for z in zeros):
+        if any(np.all(np.abs(theta - np.asarray(z.theta)) <= cell) for z in records):
             continue
-        zeros.append(tuple(float(x) for x in theta))
-        records.append(SymbolZero(zeros[-1], v,
+        records.append(SymbolZero(tuple(float(x) for x in theta), v,
                                   _exponential_residual(L, eps, theta, residual_halfwidth)))
     records.sort(key=lambda z: z.theta)
     return records

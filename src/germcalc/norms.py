@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._minimax import solve_minimax, weighted_lstsq
+from ._minimax import achieved_value, solve_minimax, weighted_lstsq
 from .errors import DimensionError, DomainTooSmallError, UnderdeterminedFitError, InputNotHolderError
 from .geometry import MultiIndex, Scaling, multi_indices
 from .germs import Germ, Window
@@ -211,10 +211,8 @@ def norm_G_eta(U: Germ, eta: float, R: float | None = None) -> NormReport:
     """Best constant M with ``|U_x(y)| <= M d(x, y)**eta`` over the window."""
     if not eta > 0:
         raise ValueError("eta must be positive")
-    D = U.scaling.pairwise_distance(U.base.coords(), U.active.coords())
-    mask = D > 0
-    if R is not None:
-        mask &= D < R
+    D = U.distances
+    mask = _within(D, R)
     name = "G_eta" if R is None else "G_eta_local"
     params = {"eta": eta} | ({} if R is None else {"R": R})
     if not mask.any():
@@ -228,8 +226,7 @@ def norm_G_eta(U: Germ, eta: float, R: float | None = None) -> NormReport:
 
 def sup_below(U: Germ, R: float) -> NormReport:
     """Plain sup of |U_x(y)| over pairs with d(x, y) < R."""
-    D = U.scaling.pairwise_distance(U.base.coords(), U.active.coords())
-    mask = D < R
+    mask = U.distances < R
     if not mask.any():
         return NormReport("sup_below", 0.0, {"R": R}, {}, window_descriptor(U))
     vals = np.where(mask, np.abs(U.values), -np.inf)
@@ -252,10 +249,19 @@ def _poly_columns(Z: np.ndarray, gammas: list[MultiIndex]) -> np.ndarray:
     return cols
 
 
-def _require_base_in_active(U: Germ) -> None:
+def _within(D: np.ndarray, R: float | None) -> np.ndarray:
+    """Mask of the positive distances in D, below R when R is given."""
+    return (D > 0) & (D < R) if R is not None else D > 0
+
+
+def _base_columns(U: Germ) -> np.ndarray:
+    """Active-window column of each base point; the base window must sit
+    inside the active window."""
     for j in range(U.scaling.d):
         if U.base.lo[j] < U.active.lo[j] or U.base.hi[j] > U.active.hi[j]:
             raise DimensionError("base window must sit inside the active window")
+    return np.ravel_multi_index(tuple((U.base.indices() - np.array(U.active.lo)).T),
+                                U.active.shape)
 
 
 def _weights(dxy, dyz, eta: float, alpha: float):
@@ -269,18 +275,15 @@ def _pair_problem(U: Germ, xf: int, yf: int, eta: float, alpha: float,
     """Assemble (Phi, r, w) for one base pair; constant term pinned at z = y."""
     act = U.active
     ycoord = U.base.coords()[yf]
-    dyz = U.scaling.pairwise_distance(ycoord[None, :], act.coords())[0]
-    dxy = float(U.scaling.pairwise_distance(
-        U.base.coords()[xf][None, :], ycoord[None, :])[0, 0])
-    zmask = dyz > 0
-    if R is not None:
-        zmask &= dyz < R
     a_y = act.flat(U.base.indices()[yf])
+    dyz = U.distances[yf]
+    dxy = float(U.distances[xf, a_y])
+    zmask = _within(dyz, R)
     r_full = U.values[xf] - U.values[yf]
     r = r_full[zmask] - r_full[a_y]
     gammas = [g for g in multi_indices(U.scaling, math.floor(eta)) if any(g)]
     Z = act.coords()[zmask] - ycoord[None, :]
-    Phi = _poly_columns(Z, gammas) if gammas else np.zeros((Z.shape[0], 0))
+    Phi = _poly_columns(Z, gammas)
     w = _weights(dxy, dyz[zmask], eta, alpha)
     return Phi, r, w, gammas
 
@@ -300,8 +303,7 @@ def pair_minimax(U: Germ, xf: int, yf: int, eta: float, alpha: float,
         c_ls = weighted_lstsq(Phi, np.ascontiguousarray(r.real), w)
         if np.iscomplexobj(r) and np.any(r.imag):
             c_ls = c_ls + 1j * weighted_lstsq(Phi, np.ascontiguousarray(r.imag), w)
-        res = r - Phi @ c_ls if Phi.shape[1] else r
-        ub = float(np.max(np.abs(res) / w))
+        ub = achieved_value(Phi, r, w, c_ls)
         noise = 1e-12 * float(np.max(np.abs(U.values)))
         if ub * float(np.min(w)) <= noise:
             return ub, c_ls, gammas
@@ -326,7 +328,7 @@ def seminorm_G_eta_alpha(U: Germ, eta: float, alpha: float,
     """
     if not (0 < alpha < eta):
         raise ValueError("need 0 < alpha < eta")
-    _require_base_in_active(U)
+    a_pos = _base_columns(U)
     scaling = U.scaling
     act = U.active
     base = U.base
@@ -338,11 +340,8 @@ def seminorm_G_eta_alpha(U: Germ, eta: float, alpha: float,
     name = "G_eta_alpha" if R is None else "G_eta_alpha_local"
     params = {"eta": eta, "alpha": alpha} | ({} if R is None else {"R": R})
 
-    B = base.coords()
-    Dxy = scaling.pairwise_distance(B, B)
-    pairs = Dxy > 0
-    if R is not None:
-        pairs &= Dxy < R
+    Dxy = U.distances[:, a_pos]
+    pairs = _within(Dxy, R)
     # pairs at the germ's numerical noise level are screened in bulk; the
     # exact solves run only where the bound carries signal
     noise = 1e-12 * float(np.max(np.abs(U.values)))
@@ -354,7 +353,7 @@ def seminorm_G_eta_alpha(U: Germ, eta: float, alpha: float,
     bounds = None if factor is None else _quiet_bounds(U, Dxy, pairs, eta, alpha, R,
                                                         factor, noise)
     if bounds is None:
-        bounds = _screen_bounds(U, Dxy, pairs, eta, alpha, R, gammas, factor)
+        bounds = _screen_bounds(U, Dxy, a_pos, pairs, eta, alpha, R, gammas, factor)
     ub, lb, wmin, xs, ys = bounds
     if ub.size == 0:
         return NormReport(name, 0.0, params, {}, window_descriptor(U))
@@ -434,34 +433,31 @@ def _quiet_bounds(U: Germ, Dxy: np.ndarray, pairs: np.ndarray, eta: float, alpha
     if not np.all(spread <= noise):
         return None
     # the smallest weight of a pair sits at the z nearest to y
-    Dyz = U.scaling.pairwise_distance(U.base.coords(), U.active.coords())
-    zmask = Dyz > 0
-    if R is not None:
-        zmask &= Dyz < R
-    near = np.min(np.where(zmask, Dyz, np.inf), axis=1)[ys]
+    Dyz = U.distances
+    near = np.min(np.where(_within(Dyz, R), Dyz, np.inf), axis=1)[ys]
     has_z = np.isfinite(near)
     xs, ys, near, spread = xs[has_z], ys[has_z], near[has_z], spread[has_z]
     wmin = _weights(Dxy[xs, ys], near, eta, alpha)
     return spread / wmin, np.zeros(xs.size), wmin, xs, ys
 
 
-def _screen_bounds(U: Germ, Dxy: np.ndarray, pairs: np.ndarray, eta: float, alpha: float,
-                   R: float | None, gammas: list[MultiIndex], factor):
+def _screen_bounds(U: Germ, Dxy: np.ndarray, a_pos: np.ndarray, pairs: np.ndarray,
+                   eta: float, alpha: float, R: float | None, gammas: list[MultiIndex],
+                   factor):
     """Per-pair upper bounds, certified lower bounds and smallest weights.
 
-    Returns (ub, lb, wmin, xs, ys), y-major.  A factored table (``factor``
-    from ``_factor_modulo_polynomials``) fits the recentered common row psi
-    once per y and distance class: the polynomial part of an increment lies
-    in the fit space, so ``|coef_x - coef_y|`` times that fit's bound plus
-    the pointwise remainder bounds the pair.  Any other table fits every
-    pair's increment.
+    Returns (ub, lb, wmin, xs, ys), y-major; ``a_pos`` is the active column
+    of each base point.  A factored table (``factor`` from
+    ``_factor_modulo_polynomials``) fits the recentered common row psi once
+    per y and distance class: the polynomial part of an increment lies in
+    the fit space, so ``|coef_x - coef_y|`` times that fit's bound plus the
+    pointwise remainder bounds the pair.  Any other table fits every pair's
+    increment.
     """
-    scaling = U.scaling
-    act = U.active
     base = U.base
     p = len(gammas)
     B = base.coords()
-    A = act.coords()
+    A = U.active.coords()
     # the weights see x only through d(x, y): number the distinct distances
     # once per call; per y, weights and normal matrices are built once per
     # distance class in use and gathered per x
@@ -469,15 +465,11 @@ def _screen_bounds(U: Germ, Dxy: np.ndarray, pairs: np.ndarray, eta: float, alph
     dist_class = dist_class.reshape(Dxy.shape)
     in_use = np.zeros((base.npoints, dist.size), dtype=bool)
     in_use[np.nonzero(pairs)[1], dist_class[pairs]] = True
-    base_idx = base.indices()
-    a_pos = np.array([act.flat(base_idx[i]) for i in range(base.npoints)])
 
     cand_ub, cand_lb, cand_wmin, cand_x, cand_y = [], [], [], [], []
     for yf in range(base.npoints):
-        dyz = scaling.pairwise_distance(B[yf][None, :], A)[0]
-        zmask = dyz > 0
-        if R is not None:
-            zmask &= dyz < R
+        dyz = U.distances[yf]
+        zmask = _within(dyz, R)
         xs = np.nonzero(pairs[:, yf])[0]
         if xs.size == 0 or not zmask.any():
             continue
@@ -650,8 +642,7 @@ def holder_local(f: np.ndarray, window: Window, alpha: float, center_idx,
             continue
         r = vals[zmask] - vals[i]
         w = _pow_dist(dzy[zmask], alpha)
-        Phi = (_poly_columns(pts[zmask] - pts[i][None, :], gammas)
-               if gammas else np.zeros((int(zmask.sum()), 0)))
+        Phi = _poly_columns(pts[zmask] - pts[i][None, :], gammas)
         val, _ = solve_minimax(Phi, r, w)
         worst = max(worst, val)
     return worst
@@ -674,8 +665,7 @@ def neg_holder_local(g: np.ndarray, window: Window, order: float, center_idx,
     cpos = window.ball(center_idx, R)
     idx = window.indices()
     A = window.coords()
-    ccoord = np.asarray(center_idx, dtype=float) * np.array(window.steps)
-    d_to_center = scaling.pairwise_distance(ccoord[None, :], A)[0]
+    d_to_center = scaling.pairwise_distance(window.physical(center_idx), A)[0]
     worst = 0.0
     lams = lambda_grid(eps, R)
     for yflat in cpos:
@@ -812,11 +802,8 @@ def reevaluate_report(report: NormReport, U: Germ,
                                  report.params["alpha"], report.params.get("R"))
         return val
     if report.name.startswith("G_eta"):
-        x = np.asarray(w["base"], dtype=float) * np.array(U.base.steps)
-        y = np.asarray(w["active"], dtype=float) * np.array(U.active.steps)
-        d = scaling.distance(x, y)
-        v = U.values[U.base.flat(w["base"]), U.active.flat(w["active"])]
-        return float(abs(v) / d ** report.params["eta"])
+        b, a = U.base.flat(w["base"]), U.active.flat(w["active"])
+        return float(abs(U.values[b, a]) / U.distances[b, a] ** report.params["eta"])
     if report.name.startswith("G_gamma"):
         if family is None:
             family = build_default_family(scaling, report.params["k"])

@@ -24,7 +24,7 @@ from germcalc.germs import Window
 from germcalc.harness import (ExperimentConfig, member_rng, rescaled_sides,
                               schauder_sides)
 from germcalc.norms import _pair_problem
-from germcalc._minimax import exchange_minimax, lp_minimax
+from germcalc._minimax import lp_minimax, solve_minimax
 
 from polyutil import Poly, grid_minimax
 
@@ -180,7 +180,7 @@ def test_criterion_06_jet_germ_nullity():
 
 
 def test_criterion_07_minimax_oracle_equivalence():
-    with criterion(7, "minimax fit: LP vs grid oracle vs exchange iteration"):
+    with criterion(7, "minimax fit: LP vs grid oracle vs solve_minimax"):
         rng = np.random.default_rng(77)
         cases = []
         s1, s2 = Scaling((1,)), Scaling((1, 1))
@@ -199,11 +199,11 @@ def test_criterion_07_minimax_oracle_equivalence():
             cases.append((Phi, np.real(r), wts))
         for Phi, r, wts in cases:
             v_lp, _ = lp_minimax(Phi, r, wts)
-            v_ex, _ = exchange_minimax(Phi, r, wts)
+            v_sol, _ = solve_minimax(Phi, r, wts)
             v_grid, _, step = grid_minimax(Phi, r, wts)
             lip = (float(np.max(np.sum(np.abs(Phi), axis=1) / wts))
                    if Phi.shape[1] else 0.0)
-            assert abs(v_lp - v_ex) <= 1e-6 * max(1.0, v_lp)
+            assert abs(v_lp - v_sol) <= 1e-6 * max(1.0, v_lp)
             assert v_lp <= v_grid + 1e-9
             assert v_grid - v_lp <= lip * step * math.sqrt(max(Phi.shape[1], 1)) + 1e-9
 

@@ -212,9 +212,18 @@ def test_probe_germ_file_evaluated_once(tmp_path, capsys, monkeypatch):
     assert float(row[1]) == 0.5
     assert [float(x) for x in row[2:5]] == [sides["lhs"], sides["rhs_operator"],
                                             sides["rhs_eta_alpha"]]
-    for extra, what in ((("--ensemble", "3"), "ensemble"), (("--eps", "1,0.25"), "eps")):
+    for extra, what in ((("--ensemble", "3"), "ensemble"), (("--eps", "1,0.25"), "eps"),
+                        (("--eps", "0.25"), "eps")):
         code, _, err = run_cli(capsys, *argv, *extra)
         _assert_one_line_exit_one(code, err, "germ=file", what, extra[0])
+    # the file's own eps, and a radius past the cap on windows the probe
+    # builds, give the same row: a file germ brings its own window and scale
+    first = out_csv.read_text()
+    for extra in (("--eps", "0.5"), ("--window", "40")):
+        out_csv.unlink()
+        code, _, err = run_cli(capsys, *argv, *extra)
+        assert code == 0 and err == "", extra
+        assert out_csv.read_text() == first, extra
 
 
 def test_malformed_germ_file_exits_one(tmp_path, capsys):

@@ -92,7 +92,7 @@ def test_eta_alpha_single_pair_grid_oracle(rng):
 
 
 def test_eta_alpha_methods_agree(rng):
-    # the semi-norm (screen plus exchange solves) against the LP reference
+    # the semi-norm (screen plus exact solves) against the LP reference
     # on every base pair
     s = Scaling((1, 1))
     U = random_germ(rng, s, half=2)
