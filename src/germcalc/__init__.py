@@ -6,14 +6,11 @@ from .germs import (CenterReport, DistGerm, Germ, Window, center_check,
                     load_germ, restrict_initial, save_germ, scale_germ)
 from .discrete_ops import (DiffOperator, DualPoint, EllipticityReport, adjoint,
                            apply_to_field, apply_to_germ, continuum_symbol,
-                           discrete_monomial, discrete_symbol, fractional_symbol,
-                           is_discretely_elliptic, load_operator, make_operator,
-                           monomial_diff_rule_check, operator_from_text,
-                           operator_to_text, preset_operator, save_operator)
-from .norms import (NormReport, RatioDiagnostic, TestFunctionFamily,
-                    build_default_family, holder_bound_ratio, holder_local,
-                    lambda_grid, mcshane_extend, norm_G_eta,
-                    operator_holder_bound_ratio, reevaluate_report,
+                           discrete_monomial, discrete_symbol, is_discretely_elliptic,
+                           load_operator, make_operator, monomial_diff_rule_check,
+                           operator_from_text, operator_to_text, preset_operator)
+from .norms import (NormReport, TestFunctionFamily, build_default_family, lambda_grid,
+                    mcshane_extend, norm_G_eta, reevaluate_report,
                     seminorm_G_eta_alpha, seminorm_G_gamma, sup_below)
 from .liouville import (KernelBasis, SymbolZero, centered_rigidity_check,
                         polynomial_kernel, symbol_zero_search)

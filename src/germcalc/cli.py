@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -43,8 +44,32 @@ def _resolve_operator(args):
     raise ValidationError("need --preset or --operator-file")
 
 
-def _parse_floats(text):
-    return tuple(float(x) for x in text.split(","))
+def _float_list(text):
+    """argparse type: comma-separated finite numbers."""
+    try:
+        vals = tuple(float(x) for x in text.split(","))
+    except ValueError:
+        vals = ()
+    if not vals or not all(map(math.isfinite, vals)):
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of numbers: {text!r}")
+    return vals
+
+
+def _finite_float(lo: float, strict: bool):
+    """argparse type: a finite number above ``lo`` (or equal to it unless strict)."""
+    def parse(text):
+        try:
+            x = float(text)
+        except ValueError:
+            x = math.nan
+        if not (math.isfinite(x) and (x > lo if strict else x >= lo)):
+            raise argparse.ArgumentTypeError(
+                f"expected a finite number {'>' if strict else '>='} {lo:g}, got {text!r}")
+        return x
+    return parse
+
+
+_grid_scale = _finite_float(0.0, strict=True)
 
 
 # one parser per process: parsing does not change it, and a build costs about 3 ms
@@ -66,23 +91,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("symbol", help="evaluate operator symbols")
     _add_operator_flags(p)
-    p.add_argument("--eps", type=float, default=1.0)
-    p.add_argument("--theta", help="dual-torus frequency, comma separated")
-    p.add_argument("--xi", help="continuum frequency, comma separated")
+    p.add_argument("--eps", type=_grid_scale, default=1.0)
+    p.add_argument("--theta", type=_float_list, help="dual-torus frequency, comma separated")
+    p.add_argument("--xi", type=_float_list, help="continuum frequency, comma separated")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("ellipticity",
                        help="classify an operator by symbol scans")
     _add_operator_flags(p)
-    p.add_argument("--eps", type=float, default=1.0)
+    p.add_argument("--eps", type=_grid_scale, default=1.0)
     p.add_argument("--resolution", type=int, default=64)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("liouville",
                        help="polynomial kernel and symbol zero search")
     _add_operator_flags(p)
-    p.add_argument("--eps", type=float, default=1.0)
-    p.add_argument("--eta", type=float, required=True)
+    p.add_argument("--eps", type=_grid_scale, default=1.0)
+    p.add_argument("--eta", type=_finite_float(0.0, strict=False), required=True)
     p.add_argument("--zero-search", action="store_true")
     p.add_argument("--resolution", type=int, default=64)
     p.add_argument("--json", action="store_true")
@@ -158,11 +183,14 @@ def _cmd_symbol(args) -> int:
     out = {}
     if args.theta is None and args.xi is None:
         raise ValidationError("need --theta (lattice) and/or --xi (continuum)")
+    for flag, freq in (("--theta", args.theta), ("--xi", args.xi)):
+        if freq is not None and len(freq) != L.d:
+            raise ValidationError(f"{flag} needs {L.d} components, got {len(freq)}")
     if args.theta is not None:
-        val = discrete_symbol(L, args.eps, _parse_floats(args.theta))
+        val = discrete_symbol(L, args.eps, args.theta)
         out["discrete"] = [val.real, val.imag]
     if args.xi is not None:
-        val = continuum_symbol(L, _parse_floats(args.xi))
+        val = continuum_symbol(L, args.xi)
         out["continuum"] = [val.real, val.imag]
     if args.json:
         print(json.dumps(out, sort_keys=True))

@@ -135,25 +135,6 @@ def adjoint(L: DiffOperator) -> DiffOperator:
     return make_operator(L.scaling, terms)
 
 
-def laplacian_neighbor_form(f: np.ndarray, window: Window):
-    """Nearest-neighbor form of the discrete Laplacian (isotropic scaling):
-    ``eps**-2`` times the sum of neighbor increments."""
-    if set(window.scaling.s) != {1}:
-        raise ValidationError("neighbor form is defined for isotropic scaling")
-    f = np.asarray(f)
-    inner = window.shrink(lo_margin=(1,) * window.d, hi_margin=(1,) * window.d)
-    out = np.zeros(inner.shape, dtype=f.dtype if f.dtype.kind == "c" else float)
-    core = tuple(slice(1, s - 1) for s in window.shape)
-    h = window.eps
-    for j in range(window.d):
-        up = tuple(slice(2, s) if i == j else core[i] for i, s in enumerate(window.shape))
-        dn = tuple(slice(0, s - 2) if i == j else core[i] for i, s in enumerate(window.shape))
-        out = out + (f[up] - f[core]) + (f[dn] - f[core])
-    if h != 1:
-        out = out / (h * h)
-    return out, inner
-
-
 # ---------------------------------------------------------------------------
 # symbols
 
@@ -400,16 +381,6 @@ def is_discretely_elliptic(L: DiffOperator, eps: float = 1.0,
                              d_wit, resolution, notes)
 
 
-def fractional_symbol(s_exp: float, xi) -> float | np.ndarray:
-    """Euclidean symbol ``|xi|**s`` (evaluation only; isotropic scaling)."""
-    if not s_exp > 0:
-        raise ValueError("exponent must be positive")
-    xi = np.asarray(xi, dtype=float)
-    nrm = np.sqrt(np.sum(np.atleast_2d(xi) ** 2, axis=1))
-    out = nrm ** s_exp
-    return float(out[0]) if xi.ndim == 1 else out
-
-
 # ---------------------------------------------------------------------------
 # discrete monomial (falling factorial) calculus
 
@@ -544,11 +515,6 @@ def operator_from_text(text: str) -> DiffOperator:
     if m != L.order:
         raise ValidationError(f"header order m={m} does not match terms (m={L.order})")
     return L
-
-
-def save_operator(L: DiffOperator, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(operator_to_text(L))
 
 
 def load_operator(path) -> DiffOperator:

@@ -19,10 +19,10 @@ import numpy as np
 from .discrete_ops import (DiffOperator, apply_to_germ, fft_symbol_grid,
                            apply_to_field, load_operator, preset_operator)
 from .errors import IllPosedSourceError, ValidationError
-from .geometry import ScaleMap, Scaling
+from .geometry import Scaling
 from .germs import (MAX_POINTS_PER_AXIS, Germ, Window, frozen_coefficient_germ, jet_germ,
-                    load_germ, restrict_initial, scale_germ)
-from .norms import (_ratio, build_default_family, norm_G_eta, seminorm_G_eta_alpha,
+                    load_germ, restrict_initial)
+from .norms import (build_default_family, norm_G_eta, seminorm_G_eta_alpha,
                     seminorm_G_gamma, sup_below)
 
 _FMT = "%.17g"
@@ -111,6 +111,12 @@ class RatioReport:
     @property
     def flags(self) -> str:
         return "rhs-zero" if _ratio(self.lhs, self.rhs)[1] else ""
+
+
+def _ratio(lhs: float, rhs: float) -> tuple[float, bool]:
+    if rhs > 0:
+        return lhs / rhs, False
+    return (0.0, False) if lhs == 0 else (math.inf, True)
 
 
 CSV_COLUMNS = ("member", "eps", "lhs", "rhs_operator", "rhs_eta_alpha",
@@ -272,17 +278,6 @@ def run_probe(cfg: ExperimentConfig, mode: str = "schauder", rho: float | None =
         reports.append(RatioReport(member, U.eps, sides["lhs"], sides["rhs_operator"],
                                    sides["rhs_eta_alpha"], rhs_initial, rhs_local_sup))
     return reports
-
-
-def rescaled_sides(U: Germ, L: DiffOperator, eta: float, alpha: float, R: float,
-                   family=None) -> dict:
-    """Both sides recomputed after jointly rescaling germ, window and grid.
-
-    Under the joint rescale every component scales by ``R**eta``, so the
-    ratio must be invariant; this is the computational core of the reduction
-    to unit grid scale."""
-    Us = scale_germ(U, ScaleMap(U.scaling, (0.0,) * U.scaling.d, R))
-    return schauder_sides(Us, L, eta, alpha, family)
 
 
 # ---------------------------------------------------------------------------

@@ -80,18 +80,23 @@ def polynomial_kernel(L: DiffOperator, eps: float, eta: float) -> KernelBasis:
 
     The action of a homogeneous operator on a polynomial is again a
     polynomial, so vanishing on the determination window forces vanishing
-    everywhere; the null space comes from a singular-value cutoff relative to
-    the largest singular value.
+    everywhere.  Singular values up to the round-off of the stencil sums,
+    ``coeff_scale * eps**-m`` times the largest monomial value on the window,
+    count as zero; the largest singular value is no scale for this, as it is
+    itself round-off when every monomial is annihilated.
     """
     if eta < 0:
         raise ValueError("degree cutoff must be >= 0")
     scaling = L.scaling
     gammas = tuple(multi_indices(scaling, eta))
     win = _determination_window(scaling, eps, eta, L.order)
+    fields = _monomial_fields(scaling, eps, gammas, win)
     cols = []
-    for f in _monomial_fields(scaling, eps, gammas, win):
+    for f in fields:
         vals, _ = apply_to_field(L, f, win)
         cols.append(np.asarray(vals, dtype=complex).ravel())
+    cutoff = (_SVD_CUTOFF * L.coeff_scale() * eps ** (-L.order)
+              * max(float(np.max(np.abs(f))) for f in fields))
     A = np.stack(cols, axis=1)
     if np.iscomplexobj(A) and np.all(A.imag == 0):
         A = A.real
@@ -102,7 +107,7 @@ def polynomial_kernel(L: DiffOperator, eps: float, eta: float) -> KernelBasis:
         vectors = np.eye(len(gammas))
     else:
         null_rows = [Vh[i].conj() for i in range(Vh.shape[0])
-                     if i >= sv.size or sv[i] <= _SVD_CUTOFF * smax]
+                     if i >= sv.size or sv[i] <= cutoff]
         vectors = (np.stack(null_rows) if null_rows
                    else np.zeros((0, len(gammas))))
     basis = KernelBasis(L, eps, eta, gammas, vectors)

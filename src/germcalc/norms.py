@@ -3,8 +3,8 @@
 Implements the positive-order germ norm (best vanishing constant at the base
 point), the three-point semi-norm with polynomial recentering (a weighted
 minimax fit per base pair), negative-order semi-norms against a fixed family
-of rescaled bump functions, locally uniform variants, local Holder norms,
-ratio diagnostics, and the inf-convolution (McShane) extension.
+of rescaled bump functions, locally uniform versions of these norms, and the
+inf-convolution (McShane) extension.
 
 All values computed here are window-restricted: the suprema run over the
 finite window only, and every report carries its window so comparisons
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,18 +61,6 @@ def window_descriptor(U: Germ) -> dict:
         "base_lo": list(U.base.lo), "base_hi": list(U.base.hi),
         "act_lo": list(U.active.lo), "act_hi": list(U.active.hi),
     }
-
-
-def norm_reports_to_csv(reports) -> str:
-    """Batch mode: one row per report (name, value, params, witness, window)."""
-    lines = ["name,value,params,witness,window"]
-    for rep in reports:
-        fields = [rep.name, "%.17g" % rep.value]
-        for part in (rep.params, rep.witness, rep.window):
-            fields.append(json.dumps(part, sort_keys=True, separators=_JSON_SEP,
-                                     default=_coerce).replace(",", ";"))
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +165,11 @@ def verify_family(family: TestFunctionFamily, slack: float = 1e-4) -> bool:
                for m in family.members)
 
 
-def lambda_grid(eps: float, lam_max: float, ratio: float = math.sqrt(2.0)) -> np.ndarray:
-    """Geometric grid of convolution scales from eps up to lam_max."""
+def lambda_grid(eps: float, lam_max: float) -> np.ndarray:
+    """Geometric grid of convolution scales, ratio sqrt(2), from eps up to lam_max."""
     if lam_max < eps * (1 - 1e-12):
         return np.zeros(0)
+    ratio = math.sqrt(2.0)
     n = int(math.floor(math.log(lam_max / eps) / math.log(ratio) + 1e-9)) + 1
     return eps * ratio ** np.arange(max(n, 1))
 
@@ -613,150 +602,19 @@ def seminorm_G_gamma(V: Germ, gamma: float, family: TestFunctionFamily | None = 
 
 
 # ---------------------------------------------------------------------------
-# local Holder semi-norms and the two-sided ratio diagnostics
-
-
-def holder_local(f: np.ndarray, window: Window, alpha: float, center_idx,
-                 R: float) -> float:
-    """Recentered local Holder semi-norm of a field on a ball.
-
-    For each y in the ball, fit a polynomial of weighted degree <= floor(alpha)
-    minimizing ``max_z |f(z) - P(z)| / d(z, y)**alpha``, interpolating at y;
-    return the max over y.
-    """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    scaling = window.scaling
-    f = np.asarray(f).reshape(-1)
-    pos = window.ball(center_idx, R)
-    if pos.size == 0:
-        return 0.0
-    pts = window.coords()[pos]
-    vals = f[pos]
-    gammas = [g for g in multi_indices(scaling, math.floor(alpha)) if any(g)]
-    worst = 0.0
-    for i in range(pos.size):
-        dzy = scaling.pairwise_distance(pts, pts[i][None, :])[:, 0]
-        zmask = dzy > 0
-        if not zmask.any():
-            continue
-        r = vals[zmask] - vals[i]
-        w = _pow_dist(dzy[zmask], alpha)
-        Phi = _poly_columns(pts[zmask] - pts[i][None, :], gammas)
-        val, _ = solve_minimax(Phi, r, w)
-        worst = max(worst, val)
-    return worst
-
-
-def neg_holder_local(g: np.ndarray, window: Window, order: float, center_idx,
-                     R: float, family: TestFunctionFamily | None = None) -> float:
-    """Negative-order local Holder norm, tested against the bump family.
-
-    Sup over placements whose lattice test ball sits inside the diagnostic
-    ball around the center, of ``lam**(-order) |<g, phi_y^lam>_eps|``.
-    """
-    if not order < 0:
-        raise ValueError("order must be negative")
-    scaling = window.scaling
-    if family is None:
-        family = build_default_family(scaling, int(math.ceil(-order)))
-    g = np.asarray(g).reshape(-1)
-    eps = window.eps
-    cpos = window.ball(center_idx, R)
-    idx = window.indices()
-    A = window.coords()
-    d_to_center = scaling.pairwise_distance(window.physical(center_idx), A)[0]
-    worst = 0.0
-    lams = lambda_grid(eps, R)
-    for yflat in cpos:
-        for lam in lams:
-            if not window.ball_fits(idx[yflat], lam):
-                continue
-            bpos = window.ball(idx[yflat], lam)
-            if np.max(d_to_center[bpos]) > R * (1 + 1e-12):
-                continue
-            for member in family.members:
-                phi = scaled_test_values(member, float(lam), A[yflat], A[bpos])
-                val = abs(pairing(g[bpos], phi, eps, scaling)) * lam ** (-order)
-                worst = max(worst, float(val))
-    return worst
-
-
-@dataclass(frozen=True)
-class RatioDiagnostic:
-    lhs: float
-    rhs: float
-    ratio: float
-    parts: dict = field(default_factory=dict)
-    violation: bool = False
-
-
-def _ratio(lhs: float, rhs: float) -> tuple[float, bool]:
-    if rhs > 0:
-        return lhs / rhs, False
-    return (0.0, False) if lhs == 0 else (math.inf, True)
-
-
-def holder_bound_ratio(U: Germ, eta: float, alpha: float, R: float) -> RatioDiagnostic:
-    """Computable two-sided check: local Holder norms of the germ slices
-    against the germ-norm bound ``(G_eta + G_eta_alpha) * R**(eta-alpha)``."""
-    base_idx = U.base.indices()
-    lhs = 0.0
-    for i in range(U.base.npoints):
-        lhs = max(lhs, holder_local(U.values[i], U.active, alpha, tuple(base_idx[i]), R))
-    n1 = norm_G_eta(U, eta)
-    n2 = seminorm_G_eta_alpha(U, eta, alpha)
-    rhs = (n1.value + n2.value) * R ** (eta - alpha)
-    ratio, viol = _ratio(lhs, rhs)
-    return RatioDiagnostic(lhs, rhs, ratio,
-                           {"G_eta": n1.value, "G_eta_alpha": n2.value, "R": R},
-                           viol)
-
-
-def operator_holder_bound_ratio(U: Germ, L, eta: float, alpha: float, R: float,
-                                family: TestFunctionFamily | None = None) -> RatioDiagnostic:
-    """Negative-order analogue: tested local norms of the operator applied to
-    each germ slice against ``(G_(eta-m) of LU + G_eta_alpha of U) * R**(eta-alpha)``."""
-    from .discrete_ops import apply_to_germ
-
-    m = L.order
-    if not (0 < alpha < eta < m):
-        raise ValueError("need 0 < alpha < eta < operator order")
-    LU = apply_to_germ(L, U)
-    if family is None:
-        family = build_default_family(U.scaling, int(math.ceil(m - alpha)))
-    base_idx = LU.base.indices()
-    lhs = 0.0
-    for i in range(LU.base.npoints):
-        lhs = max(lhs, neg_holder_local(LU.values[i], LU.active, alpha - m,
-                                        tuple(base_idx[i]), R, family))
-    n1 = seminorm_G_gamma(LU, eta - m, family=family)
-    n2 = seminorm_G_eta_alpha(U, eta, alpha)
-    rhs = (n1.value + n2.value) * R ** (eta - alpha)
-    ratio, viol = _ratio(lhs, rhs)
-    return RatioDiagnostic(lhs, rhs, ratio,
-                           {"G_eta_minus_m": n1.value, "G_eta_alpha": n2.value, "R": R},
-                           viol)
-
-
-# ---------------------------------------------------------------------------
 # McShane extension
 
 
 def mcshane_extend(f: np.ndarray, mask: np.ndarray, window: Window, alpha: float,
-                   M: float, check: bool = True, variant: str = "inf") -> np.ndarray:
+                   M: float) -> np.ndarray:
     """Inf-convolution extension ``g(x) = min_y (f(y) + M d(x,y)**alpha)``.
 
     Extends from the masked subset to the whole window without increasing the
     Holder constant (alpha in (0, 1), so the powered distance is a metric).
-    The default is the one-sided formula above; ``variant="midpoint"``
-    averages it with the matching sup-convolution, which additionally leaves
-    constant inputs constant.
+    The input must satisfy the stated Holder bound on its domain.
     """
     if not (0 < alpha < 1):
         raise ValueError("alpha must lie in (0, 1)")
-    if variant not in ("inf", "midpoint"):
-        raise ValueError(f"unknown extension variant {variant!r}")
     f = np.asarray(f, dtype=float).reshape(-1)
     mask = np.asarray(mask, dtype=bool).reshape(-1)
     if f.shape[0] != window.npoints or mask.shape[0] != window.npoints:
@@ -767,19 +625,16 @@ def mcshane_extend(f: np.ndarray, mask: np.ndarray, window: Window, alpha: float
     sub = pts[mask]
     fsub = f[mask]
     Dsub = window.scaling.pairwise_distance(sub, sub)
-    if check:
-        spread = np.abs(fsub[:, None] - fsub[None, :])
-        bound = M * _pow_dist(Dsub, alpha)
-        np.fill_diagonal(bound, np.inf)
-        scale = max(1.0, float(np.max(np.abs(fsub))))
-        if np.any(spread > bound * (1 + 1e-12) + 1e-12 * scale):
-            raise InputNotHolderError(
-                "input violates the stated Holder bound on its domain")
+    spread = np.abs(fsub[:, None] - fsub[None, :])
+    bound = M * _pow_dist(Dsub, alpha)
+    np.fill_diagonal(bound, np.inf)
+    scale = max(1.0, float(np.max(np.abs(fsub))))
+    if np.any(spread > bound * (1 + 1e-12) + 1e-12 * scale):
+        raise InputNotHolderError(
+            "input violates the stated Holder bound on its domain")
     D = window.scaling.pairwise_distance(pts, sub)
     caps = M * _pow_dist(D, alpha)
     g = np.min(fsub[None, :] + caps, axis=1)
-    if variant == "midpoint":
-        g = 0.5 * (g + np.max(fsub[None, :] - caps, axis=1))
     g[mask] = fsub
     return g
 

@@ -1,5 +1,6 @@
-"""Independent oracles for tests: small multivariate polynomial arithmetic and a
-brute-force weighted minimax fit."""
+"""Independent oracles for tests: small multivariate polynomial arithmetic, a
+brute-force weighted minimax fit, the neighbor form of the discrete Laplacian
+and the probe sides after a joint rescale."""
 
 from __future__ import annotations
 
@@ -7,7 +8,9 @@ import math
 
 import numpy as np
 
+from germcalc import ScaleMap, scale_germ, schauder_sides
 from germcalc._minimax import weighted_lstsq
+from germcalc.errors import ValidationError
 
 
 class Poly:
@@ -158,3 +161,32 @@ def grid_minimax(Phi: np.ndarray, r: np.ndarray, w: np.ndarray,
             center = cand[k]
             half = 1.5 * step
     return best_v, best_c, step
+
+
+def laplacian_neighbor_form(f: np.ndarray, window):
+    """Nearest-neighbor form of the discrete Laplacian (isotropic scaling):
+    ``eps**-2`` times the sum of neighbor increments."""
+    if set(window.scaling.s) != {1}:
+        raise ValidationError("neighbor form is defined for isotropic scaling")
+    f = np.asarray(f)
+    inner = window.shrink(lo_margin=(1,) * window.d, hi_margin=(1,) * window.d)
+    out = np.zeros(inner.shape, dtype=f.dtype if f.dtype.kind == "c" else float)
+    core = tuple(slice(1, s - 1) for s in window.shape)
+    h = window.eps
+    for j in range(window.d):
+        up = tuple(slice(2, s) if i == j else core[i] for i, s in enumerate(window.shape))
+        dn = tuple(slice(0, s - 2) if i == j else core[i] for i, s in enumerate(window.shape))
+        out = out + (f[up] - f[core]) + (f[dn] - f[core])
+    if h != 1:
+        out = out / (h * h)
+    return out, inner
+
+
+def rescaled_sides(U, L, eta: float, alpha: float, R: float, family=None) -> dict:
+    """Both sides recomputed after jointly rescaling germ, window and grid.
+
+    Under the joint rescale every component scales by ``R**eta``, so the
+    ratio must be invariant; this is the computational core of the reduction
+    to unit grid scale."""
+    Us = scale_germ(U, ScaleMap(U.scaling, (0.0,) * U.scaling.d, R))
+    return schauder_sides(Us, L, eta, alpha, family)

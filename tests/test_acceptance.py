@@ -21,12 +21,11 @@ from germcalc import (DistGerm, Germ, ScaleMap, Scaling, build_default_family,
                       seminorm_G_gamma, symbol_zero_search)
 from germcalc.discrete_ops import apply_to_germ
 from germcalc.germs import Window
-from germcalc.harness import (ExperimentConfig, member_rng, rescaled_sides,
-                              schauder_sides)
+from germcalc.harness import ExperimentConfig, member_rng, schauder_sides
 from germcalc.norms import _pair_problem
 from germcalc._minimax import lp_minimax, solve_minimax
 
-from polyutil import Poly, grid_minimax
+from polyutil import Poly, grid_minimax, rescaled_sides
 
 
 @contextmanager

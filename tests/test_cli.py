@@ -138,6 +138,20 @@ def test_probe_window_too_large_exits_one(capsys):
     assert "33" in err
 
 
+@pytest.mark.parametrize("argv, what", [
+    (("symbol", "--preset", "laplacian", "--theta", "1,x"), "'1,x'"),
+    (("symbol", "--preset", "laplacian", "--theta", "1"), "--theta needs 2 components"),
+    (("symbol", "--preset", "laplacian", "--eps", "-1", "--theta", "1,0"), "--eps"),
+    (("ellipticity", "--preset", "laplacian", "--eps", "-1"), "--eps"),
+    (("liouville", "--preset", "laplacian", "--eta", "-1"), "--eta"),
+    (("liouville", "--preset", "laplacian", "--eta", "1.5", "--eps", "0"), "--eps"),
+])
+def test_malformed_number_flags_exit_one(capsys, argv, what):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("germcalc") and err.count("\n") == 1 and what in err
+
+
 def test_malformed_scaling_exits_one(capsys):
     for argv in (("probe", "--scaling", "1,x", "--window", "4"),
                  ("probe", "--scaling", "0", "--window", "4"),

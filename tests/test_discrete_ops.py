@@ -6,16 +6,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from germcalc import (Scaling, adjoint, apply_to_field, apply_to_germ,
                       continuum_symbol, discrete_monomial, discrete_symbol,
-                      fractional_symbol, is_discretely_elliptic, make_operator,
-                      monomial_diff_rule_check, multi_indices, operator_from_text,
-                      operator_to_text, preset_operator)
-from germcalc.discrete_ops import (DualPoint, dual_torus_bounds, fft_symbol_grid,
-                                   laplacian_neighbor_form)
+                      is_discretely_elliptic, make_operator, monomial_diff_rule_check,
+                      multi_indices, operator_from_text, operator_to_text,
+                      preset_operator)
+from germcalc.discrete_ops import DualPoint, dual_torus_bounds, fft_symbol_grid
 from germcalc.errors import ValidationError
 from germcalc.germs import Window
 from germcalc.norms import pairing
 
 from conftest import box, random_germ
+from polyutil import laplacian_neighbor_form
 
 
 def test_constant_killed():
@@ -217,13 +217,6 @@ def test_monomial_rule_small_sweep():
                 assert exact and err == 0
                 err, _ = monomial_diff_rule_check(s, 0.5, gamma, delta)
                 assert err <= 1e-12
-
-
-def test_fractional_symbol():
-    assert fractional_symbol(2.0, (1.0, 1.0)) == pytest.approx(2.0)
-    assert fractional_symbol(1.3, (0.0, 0.0)) == 0.0
-    vals = fractional_symbol(0.7, np.array([[1.0, 2.0], [0.1, 0.0]]))
-    assert np.all(vals > 0)
 
 
 def test_operator_io_round_trip():

@@ -10,7 +10,9 @@ from germcalc.errors import IllPosedSourceError, ValidationError
 from germcalc.germs import Window, jet_germ
 from germcalc.harness import (config_from_mapping, config_to_dict, draw_source,
                               member_rng, parse_config_text, reports_to_csv,
-                              rescaled_sides, summary_to_json)
+                              summary_to_json)
+
+from polyutil import rescaled_sides
 
 
 def test_poisson_zero_source():

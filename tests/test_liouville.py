@@ -85,10 +85,23 @@ def _continuum_kernel_dim(L, eta):
 
 
 def test_kernel_dimension_matches_continuum_action():
-    for name, eta in (("laplacian", 1.5), ("laplacian", 2.0), ("laplacian", 3.0),
-                      ("heat", 2.0), ("heat", 3.5)):
+    # non-dyadic grid scales included: there the stencil sums of annihilated
+    # monomials are round-off rather than exact zeros
+    eps_sweep = (1.0, 0.5, 0.37, 0.1, 0.05)
+    for name, d, eta in (("laplacian", 1, 1.5), ("laplacian", 2, 1.5), ("laplacian", 2, 2.0),
+                         ("laplacian", 2, 3.0), ("heat", 2, 2.0), ("heat", 2, 3.5)):
+        L = preset_operator(name, d)
+        expect = _continuum_kernel_dim(L, eta)
+        for eps in eps_sweep:
+            assert polynomial_kernel(L, eps, eta).dimension == expect, (name, d, eta, eps)
+    # no continuum count here (complex coefficients; eps-degenerate differs from
+    # its continuum operator above degree 1): the dimension must not depend on eps
+    for name, eta in (("eps-degenerate", 1.5), ("eps-degenerate", 3.5),
+                      ("cauchy-riemann", 1.5), ("cauchy-riemann", 3.5)):
         L = preset_operator(name, 2)
-        assert polynomial_kernel(L, 1.0, eta).dimension == _continuum_kernel_dim(L, eta)
+        expect = polynomial_kernel(L, 1.0, eta).dimension
+        for eps in eps_sweep[1:]:
+            assert polynomial_kernel(L, eps, eta).dimension == expect, (name, eta, eps)
 
 
 def test_kernel_rescaled_elements_stay_in_kernel():
