@@ -1,0 +1,89 @@
+"""Nelder-Mead simplex search on Python floats.
+
+A step-for-step port of ``scipy.optimize.minimize(method="Nelder-Mead")``
+(scipy 1.17.1, ``adaptive=False``) for the low-dimensional refinements of
+the symbol scans, where scipy's per-iteration numpy work on 2-4 point
+simplices costs more than the objective.  Same initial simplex, box
+handling, update formulas, operation order, comparisons and stopping
+rules, so on the same objective it returns the same ``x``, ``fun`` and
+iteration count bit for bit.
+
+Ties in the function values are ordered by Python's stable sort.  For
+simplices of up to 3 points this matches numpy's ``argsort`` on every tie
+pattern; for 4 points (d = 3) numpy's SIMD ``argsort`` may order exact ties
+differently, so there scipy's own path depends on the CPU while this one
+does not.  NaN objective values are not supported.
+"""
+
+from __future__ import annotations
+
+from operator import itemgetter
+
+_value = itemgetter(0)
+
+
+def nelder_mead(f, x0, lo=None, hi=None, *, xatol: float, fatol: float, maxiter: int):
+    """Minimise ``f`` (a function of a list of floats) from ``x0``, clipping
+    every vertex to the box ``[lo, hi]`` when bounds are given; returns
+    (minimiser, its value, iterations)."""
+    n = len(x0)
+    if lo is None:
+        def clip(x):
+            return x
+    else:
+        box = tuple(zip(lo, hi))
+
+        def clip(x):
+            return [a if v < a else (b if v > b else v) for v, (a, b) in zip(x, box)]
+
+    x0 = clip([float(v) for v in x0])
+    sim = [x0]
+    for k in range(n):
+        y = list(x0)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    if hi is not None:
+        # a start at the upper bound is reflected into the box, not flattened
+        sim = [clip([2 * b - v if v > b else v for v, b in zip(x, hi)]) for x in sim]
+    pts = sorted(((f(x), x) for x in sim), key=_value)
+
+    it = 1
+    while it < maxiter:
+        f0, x0 = pts[0]
+        # scipy tests the x spread first; both tests are pure, so order is free
+        if (all(abs(f0 - fj) <= fatol for fj, _ in pts[1:])
+                and all(abs(v - v0) <= xatol for _, x in pts[1:] for v, v0 in zip(x, x0))):
+            break
+        xbar = list(x0)
+        for _, x in pts[1:-1]:
+            xbar = [s + v for s, v in zip(xbar, x)]
+        xbar = [s / n for s in xbar]
+        fw, w = pts[-1]
+        xr = clip([2 * c - v for c, v in zip(xbar, w)])
+        fxr = f(xr)
+        if fxr < f0:
+            xe = clip([3 * c - 2 * v for c, v in zip(xbar, w)])
+            fxe = f(xe)
+            pts[-1] = (fxe, xe) if fxe < fxr else (fxr, xr)
+        elif fxr < pts[-2][0]:
+            pts[-1] = (fxr, xr)
+        else:
+            if fxr < fw:  # outside contraction
+                xc = clip([1.5 * c - 0.5 * v for c, v in zip(xbar, w)])
+                fxc = f(xc)
+                accept = fxc <= fxr
+            else:  # inside contraction
+                xc = clip([0.5 * c + 0.5 * v for c, v in zip(xbar, w)])
+                fxc = f(xc)
+                accept = fxc < fw
+            if accept:
+                pts[-1] = (fxc, xc)
+            else:  # shrink towards the best vertex
+                for j in range(1, n + 1):
+                    x = clip([v0 + 0.5 * (v - v0) for v, v0 in zip(pts[j][1], x0)])
+                    pts[j] = (f(x), x)
+        it += 1
+        pts.sort(key=_value)
+    fun, x = pts[0]
+    return x, fun, it
+

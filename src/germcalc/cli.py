@@ -33,7 +33,18 @@ class _Parser(argparse.ArgumentParser):
 def _add_operator_flags(p):
     p.add_argument("--preset", choices=PRESETS, help="named operator")
     p.add_argument("--operator-file", help="operator in the text interchange format")
-    p.add_argument("--dim", type=int, default=2, help="dimension for presets")
+    p.add_argument("--dim", type=_positive_int, default=2, help="dimension for presets")
+
+
+def _positive_int(text):
+    """argparse type: an integer >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return n
 
 
 def _resolve_operator(args):

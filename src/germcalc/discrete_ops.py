@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._nelder_mead import nelder_mead
 from .errors import DimensionError, ValidationError
 from .geometry import MultiIndex, Scaling
 from .germs import (DistGerm, Germ, Window, _key_values, _line_errors, _text_rows,
@@ -198,13 +199,14 @@ def discrete_symbol(L: DiffOperator, eps: float, theta) -> complex | np.ndarray:
     if isinstance(theta, DualPoint):
         theta = theta.theta
     T, out = _frequency_columns(L, theta)
-    exp = cmath.exp if isinstance(out, complex) else np.exp
+    if isinstance(out, complex):
+        return _point_symbol(L, eps)(T)
     fwd = []
     bwd = []
     for j, s in enumerate(L.scaling.s):
         h = eps ** s
-        fwd.append((exp(1j * h * T[j]) - 1.0) / h)
-        bwd.append((1.0 - exp(-1j * h * T[j])) / h)
+        fwd.append((np.exp(1j * h * T[j]) - 1.0) / h)
+        bwd.append((1.0 - np.exp(-1j * h * T[j])) / h)
     for g, dl, a in L.terms:
         term = complex(a)
         for j in range(L.d):
@@ -214,6 +216,36 @@ def discrete_symbol(L: DiffOperator, eps: float, theta) -> complex | np.ndarray:
                 term = term * bwd[j] ** dl[j]
         out += term
     return out
+
+
+def _point_symbol(L: DiffOperator, eps: float):
+    """The lattice symbol at one frequency, as a function of d Python floats.
+
+    ``eps**s_j`` and each term's exponents are worked out once per (L, eps);
+    a call runs the complex operations of discrete_symbol's per-term loop in
+    the same order on Python ``complex`` values with ``cmath.exp``.
+    """
+    axes = [(h, 1j * h, -1j * h) for h in (eps ** s for s in L.scaling.s)]
+    terms = [(complex(a), [(j, g[j], dl[j]) for j in range(L.d) if g[j] or dl[j]])
+             for g, dl, a in L.terms]
+    exp = cmath.exp
+
+    def symbol(theta) -> complex:
+        fwd = []
+        bwd = []
+        for (h, ih, mih), t in zip(axes, theta):
+            fwd.append((exp(ih * t) - 1.0) / h)
+            bwd.append((1.0 - exp(mih * t)) / h)
+        out = 0j
+        for term, powers in terms:
+            for j, p, q in powers:
+                if p:
+                    term = term * fwd[j] ** p
+                if q:
+                    term = term * bwd[j] ** q
+            out += term
+        return out
+    return symbol
 
 
 def fft_symbol_grid(L: DiffOperator, eps: float, shape: tuple[int, ...]) -> np.ndarray:
@@ -265,29 +297,30 @@ def _sphere_samples(d: int, n: int) -> np.ndarray:
 def continuum_symbol_scan(L: DiffOperator, samples: int = 1000):
     """(min |symbol| on the unit sphere, argmin direction); homogeneity makes
     sphere sampling exhaustive along anisotropic rays."""
-    from scipy.optimize import minimize
-
     pts = _sphere_samples(L.d, samples)
     vals = np.abs(continuum_symbol(L, pts))
     i = int(np.argmin(vals))
     best, wit = float(vals[i]), pts[i]
     if L.d > 1:
         def obj(u):
-            u = np.asarray(u)
-            nrm = np.linalg.norm(u)
+            # the norm is np.linalg.norm's BLAS dot, whose rounding (an FMA
+            # chain on some CPUs) a Python sum would not reproduce
+            a = np.array(u)
+            nrm = math.sqrt(a.dot(a))
             if nrm < 1e-12:
                 return 1e300
-            return float(abs(continuum_symbol(L, u / nrm)))
-        res = minimize(obj, wit, method="Nelder-Mead",
-                       options={"xatol": 1e-14, "fatol": 1e-28, "maxiter": 600})
-        if res.fun < best:
-            best = float(res.fun)
-            wit = np.asarray(res.x) / np.linalg.norm(res.x)
+            return abs(continuum_symbol(L, [x / nrm for x in u]))
+        x, fun, _ = nelder_mead(obj, wit, xatol=1e-14, fatol=1e-28, maxiter=600)
+        if fun < best:
+            best = float(fun)
+            wit = np.asarray(x) / np.linalg.norm(x)
     return best, tuple(float(x) for x in wit)
 
 
 def _discrete_grid_scan(L: DiffOperator, eps: float, resolution: int):
     """Dual-torus grid, ``resolution`` points per axis, and |lattice symbol| there."""
+    if resolution < 8:
+        raise ValidationError("resolution must be at least 8 per axis")
     bounds = dual_torus_bounds(L.scaling, eps)
     axes = [(-b + 2 * b * np.arange(resolution) / resolution) for b in bounds]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -298,20 +331,20 @@ def _discrete_grid_scan(L: DiffOperator, eps: float, resolution: int):
 def _refined_minima(L: DiffOperator, eps: float, starts):
     """Nelder-Mead minimisations of |lattice symbol|^2 inside the dual torus,
     one per start, run only as the caller asks for them; yields
-    (|symbol| at the minimiser, minimiser)."""
-    from scipy.optimize import minimize
+    (|symbol| at the minimiser, minimiser).
 
-    box = [(-b, b) for b in dual_torus_bounds(L.scaling, eps)]
+    The search is the Python-float port of scipy's bounded Nelder-Mead in
+    ``_nelder_mead`` on the one-point symbol of ``_point_symbol``, so it
+    returns what ``scipy.optimize.minimize`` on ``discrete_symbol`` returns,
+    bit for bit, without numpy's per-step overhead on a 2-4 point simplex.
+    """
+    symbol = _point_symbol(L, eps)
+    hi = dual_torus_bounds(L.scaling, eps)
+    lo = tuple(-b for b in hi)
     for start in starts:
-        res = minimize(lambda t: float(abs(discrete_symbol(L, eps, t)) ** 2),
-                       start, method="Nelder-Mead", bounds=box,
-                       options={"xatol": 1e-13, "fatol": 1e-300, "maxiter": 800})
-        yield math.sqrt(max(res.fun, 0.0)), np.asarray(res.x)
-
-
-def _near_origin(theta, bounds, resolution, cells: float) -> bool:
-    return all(abs(t) <= cells * (2 * b / resolution) + 1e-15
-               for t, b in zip(theta, bounds))
+        x, fun, _ = nelder_mead(lambda t: abs(symbol(t)) ** 2, start, lo, hi,
+                                xatol=1e-13, fatol=1e-300, maxiter=800)
+        yield math.sqrt(max(fun, 0.0)), np.asarray(x)
 
 
 def is_discretely_elliptic(L: DiffOperator, eps: float = 1.0,
@@ -324,8 +357,7 @@ def is_discretely_elliptic(L: DiffOperator, eps: float = 1.0,
     continuum symbol is scanned on a direction sphere.  The combined verdict
     requires both scans clean.
     """
-    if resolution < 8:
-        raise ValidationError("resolution must be at least 8 per axis")
+    T, vals = _discrete_grid_scan(L, eps, resolution)
     scale = L.coeff_scale() * eps ** (-L.order)
     zero_tol = 1e-12 * max(1.0, scale)
     margin_tol = 1e-6 * max(1.0, scale)
@@ -339,10 +371,10 @@ def is_discretely_elliptic(L: DiffOperator, eps: float = 1.0,
     else:
         c_verdict = "inconclusive"
 
-    bounds = dual_torus_bounds(L.scaling, eps)
     excl = max(1.0, resolution / 16)
-    T, vals = _discrete_grid_scan(L, eps, resolution)
-    keep = ~np.array([_near_origin(t, bounds, resolution, excl) for t in T])
+    # per-axis half-width of the excluded neighbourhood of the origin
+    near = [excl * (2 * b / resolution) + 1e-15 for b in dual_torus_bounds(L.scaling, eps)]
+    keep = ~np.all(np.abs(T) <= near, axis=1)
     kept_vals = vals[keep]
     kept_T = T[keep]
     order = np.argsort(kept_vals)
@@ -350,7 +382,7 @@ def is_discretely_elliptic(L: DiffOperator, eps: float = 1.0,
     d_min = float(kept_vals[order[0]]) if order.size else math.inf
     for v, x in _refined_minima(L, eps, kept_T[order[:8]]):
         theta = tuple(float(t) for t in x)
-        if _near_origin(theta, bounds, resolution, excl):
+        if all(abs(t) <= r for t, r in zip(theta, near)):
             continue
         if v <= zero_tol:
             d_wit = theta

@@ -145,6 +145,13 @@ def test_probe_window_too_large_exits_one(capsys):
     (("ellipticity", "--preset", "laplacian", "--eps", "-1"), "--eps"),
     (("liouville", "--preset", "laplacian", "--eta", "-1"), "--eta"),
     (("liouville", "--preset", "laplacian", "--eta", "1.5", "--eps", "0"), "--eps"),
+    (("liouville", "--preset", "laplacian", "--dim", "0", "--eta", "1"), "--dim"),
+    (("symbol", "--preset", "laplacian", "--dim", "0", "--theta", "1"), "--dim"),
+    (("ellipticity", "--preset", "laplacian", "--dim", "-1"), "--dim"),
+    (("liouville", "--preset", "cauchy-riemann", "--eta", "0.5", "--zero-search",
+      "--resolution", "4"), "resolution must be at least 8"),
+    (("liouville", "--preset", "cauchy-riemann", "--eta", "0.5", "--zero-search",
+      "--resolution", "2"), "resolution must be at least 8"),
 ])
 def test_malformed_number_flags_exit_one(capsys, argv, what):
     code, out, err = run_cli(capsys, *argv)

@@ -1,4 +1,10 @@
+import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +15,9 @@ from germcalc import (Scaling, adjoint, apply_to_field, apply_to_germ,
                       is_discretely_elliptic, make_operator, monomial_diff_rule_check,
                       multi_indices, operator_from_text, operator_to_text,
                       preset_operator)
-from germcalc.discrete_ops import DualPoint, dual_torus_bounds, fft_symbol_grid
+from germcalc._nelder_mead import nelder_mead
+from germcalc.discrete_ops import (DualPoint, _point_symbol, _refined_minima, _sphere_samples,
+                                   continuum_symbol_scan, dual_torus_bounds, fft_symbol_grid)
 from germcalc.errors import ValidationError
 from germcalc.germs import Window
 from germcalc.norms import pairing
@@ -119,9 +127,173 @@ def test_single_point_symbols_match_array_path(L, eps, seed):
         one = discrete_symbol(L, eps, t)
         assert isinstance(one, complex)
         assert abs(one - v) <= tol
+        assert repr(one) == repr(_per_point_loop(L, eps, t.tolist()))
     X = T / bounds * 3.0
     batch = continuum_symbol(L, X)
     assert [continuum_symbol(L, x) for x in X] == list(batch)
+
+
+def _per_point_loop(L, eps, t):
+    """The batch path's per-term loop run on one point with cmath.exp."""
+    fwd, bwd = [], []
+    for j, s in enumerate(L.scaling.s):
+        h = eps ** s
+        fwd.append((cmath.exp(1j * h * t[j]) - 1.0) / h)
+        bwd.append((1.0 - cmath.exp(-1j * h * t[j])) / h)
+    out = 0j
+    for g, dl, a in L.terms:
+        term = complex(a)
+        for j in range(L.d):
+            if g[j]:
+                term = term * fwd[j] ** g[j]
+            if dl[j]:
+                term = term * bwd[j] ** dl[j]
+        out += term
+    return out
+
+
+class _StableArgsortNumpy:
+    """numpy, except that argsort is stable."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def argsort(a):
+        return np.argsort(a, kind="stable")
+
+
+def _scipy_nelder_mead(f, x0, lo=None, hi=None, **options):
+    """scipy's Nelder-Mead on a function of a list of floats, as (x, fun, nit).
+
+    Simplices of up to 3 points run scipy as it is.  On 4 points numpy's
+    argsort may order exact ties unlike a stable sort (by CPU), and ties come
+    up near a nonzero minimum; there scipy runs with a stable argsort, the
+    tie rule the port documents.
+    """
+    from scipy.optimize import _optimize, minimize
+
+    box = None if lo is None else list(zip(lo, hi))
+    numpy = _StableArgsortNumpy() if len(x0) > 2 else np
+    with mock.patch.object(_optimize, "np", numpy):
+        res = minimize(lambda t: f(t.tolist()), x0, method="Nelder-Mead", bounds=box,
+                       options=options)
+    return res.x.tolist(), float(res.fun), int(res.nit)
+
+
+@given(homogeneous_operators(), st.sampled_from([1.0, 0.5, 0.37]), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_nelder_mead_matches_scipy_on_lattice_symbols(L, eps, seed):
+    symbol = _point_symbol(L, eps)
+    f = lambda t: abs(symbol(t)) ** 2  # noqa: E731
+    hi = dual_torus_bounds(L.scaling, eps)
+    lo = tuple(-b for b in hi)
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-1, 1, L.d) * hi
+    # inside, on the upper edge (reflected), on the lower edge (clipped), just
+    # below the upper edge, and with zero coordinates
+    starts = [u, np.array(hi), np.array(lo), (1 - 1e-3 * rng.uniform(0, 1, L.d)) * hi,
+              np.where(rng.uniform(0, 1, L.d) < 0.5, 0.0, u)]
+    opts = dict(xatol=1e-13, fatol=1e-300, maxiter=800)
+    for x0 in starts:
+        assert nelder_mead(f, x0, lo, hi, **opts) == _scipy_nelder_mead(f, x0, lo, hi, **opts)
+
+
+@given(homogeneous_operators(), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_nelder_mead_matches_scipy_on_the_continuum_objective(L, seed):
+    def obj(u):
+        nrm = np.linalg.norm(u)
+        return 1e300 if nrm < 1e-12 else abs(continuum_symbol(L, np.asarray(u) / nrm))
+
+    rng = np.random.default_rng(seed)
+    x0 = rng.standard_normal(L.d)
+    opts = dict(xatol=1e-14, fatol=1e-28, maxiter=600)
+    for start in (x0, np.where(rng.uniform(0, 1, L.d) < 0.5, 0.0, x0)):
+        assert nelder_mead(obj, start, **opts) == _scipy_nelder_mead(obj, start, **opts)
+
+
+@given(st.integers(1, 3), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_nelder_mead_matches_scipy_on_smooth_functions(d, bounded, seed):
+    # minimum value 0 at an interior point: no exact ties even near convergence
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.1, 10, d).tolist()
+    c = rng.uniform(-2, 2, d).tolist()
+    r = rng.uniform(-0.5, 0.5) * min(w)
+
+    def f(x):
+        q = sum(wi * (xi - ci) ** 2 for wi, xi, ci in zip(w, x, c))
+        q += r * (x[0] - c[0]) * (x[-1] - c[-1])
+        return q + math.sin(q) ** 2
+
+    lo = hi = None
+    if bounded:
+        hi = tuple((np.abs(c) + rng.uniform(0.5, 2, d)).tolist())
+        lo = tuple(-b for b in hi)
+    x0 = rng.uniform(-1, 1, d) * (hi if bounded else 3)
+    for opts in (dict(xatol=1e-8, fatol=1e-12, maxiter=200 * d),
+                 dict(xatol=1e-14, fatol=1e-300, maxiter=40)):
+        assert nelder_mead(f, x0, lo, hi, **opts) == _scipy_nelder_mead(f, x0, lo, hi, **opts)
+
+
+def _scipy_refinements(L, eps, starts):
+    """The lattice refinements as scipy's Nelder-Mead on discrete_symbol."""
+    from scipy.optimize import minimize
+
+    box = [(-b, b) for b in dual_torus_bounds(L.scaling, eps)]
+    for start in starts:
+        res = minimize(lambda t: float(abs(discrete_symbol(L, eps, t)) ** 2),
+                       start, method="Nelder-Mead", bounds=box,
+                       options={"xatol": 1e-13, "fatol": 1e-300, "maxiter": 800})
+        yield math.sqrt(max(res.fun, 0.0)), res.x.tolist()
+
+
+def _scipy_continuum_scan(L, samples):
+    """continuum_symbol_scan with scipy's Nelder-Mead on numpy arrays."""
+    from scipy.optimize import minimize
+
+    pts = _sphere_samples(L.d, samples)
+    vals = np.abs(continuum_symbol(L, pts))
+    i = int(np.argmin(vals))
+    best, wit = float(vals[i]), pts[i]
+
+    def obj(u):
+        nrm = np.linalg.norm(u)
+        return 1e300 if nrm < 1e-12 else float(abs(continuum_symbol(L, u / nrm)))
+    res = minimize(obj, wit, method="Nelder-Mead",
+                   options={"xatol": 1e-14, "fatol": 1e-28, "maxiter": 600})
+    if res.fun < best:
+        best, wit = float(res.fun), res.x / np.linalg.norm(res.x)
+    return best, tuple(float(x) for x in wit)
+
+
+@pytest.mark.parametrize("name, d, eps", [
+    ("laplacian", 1, 1.0), ("laplacian", 2, 0.37), ("heat", 2, 0.5),
+    ("cauchy-riemann", 2, 1.0), ("eps-degenerate", 2, 0.25), ("laplacian", 3, 1.0),
+    ("heat", 3, 0.37)])
+def test_symbol_refinements_match_scipy(name, d, eps):
+    L = preset_operator(name, d)
+    starts = np.random.default_rng(d).uniform(-1, 1, (4, d)) * dual_torus_bounds(L.scaling, eps)
+    got = [(v, x.tolist()) for v, x in _refined_minima(L, eps, starts)]
+    assert got == list(_scipy_refinements(L, eps, starts))
+    if d > 1:
+        for samples in (40, 1000):
+            assert continuum_symbol_scan(L, samples) == _scipy_continuum_scan(L, samples)
+
+
+def test_symbol_analysis_does_not_import_the_optimizer():
+    # the symbol refinements run on the float Nelder-Mead, so ellipticity and
+    # the zero search leave scipy's optimizer (and its memory) out of the process
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; from germcalc.cli import main; "
+            "assert main(['ellipticity', '--preset', 'cauchy-riemann', '--json']) == 0; "
+            "assert main(['liouville', '--preset', 'cauchy-riemann', '--eta', '0.5', "
+            "'--zero-search', '--json']) == 0; "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert out.stdout.strip().splitlines()[-1] == "False"
 
 
 def test_eps_degenerate_continuum_vanishes(rng):
