@@ -200,43 +200,29 @@ def discrete_symbol(L: DiffOperator, eps: float, theta) -> complex | np.ndarray:
         theta = theta.theta
     T, out = _frequency_columns(L, theta)
     if isinstance(out, complex):
-        return _point_symbol(L, eps)(T)
-    fwd = []
-    bwd = []
-    for j, s in enumerate(L.scaling.s):
-        h = eps ** s
-        fwd.append((np.exp(1j * h * T[j]) - 1.0) / h)
-        bwd.append((1.0 - np.exp(-1j * h * T[j])) / h)
-    for g, dl, a in L.terms:
-        term = complex(a)
-        for j in range(L.d):
-            if g[j]:
-                term = term * fwd[j] ** g[j]
-            if dl[j]:
-                term = term * bwd[j] ** dl[j]
-        out += term
-    return out
+        return _symbol_function(L, eps)(T)
+    return _symbol_function(L, eps, np.exp)(T, out)
 
 
-def _point_symbol(L: DiffOperator, eps: float):
-    """The lattice symbol at one frequency, as a function of d Python floats.
+def _symbol_function(L: DiffOperator, eps: float, exp=cmath.exp):
+    """The lattice symbol as a function of the per-axis frequency components.
 
-    ``eps**s_j`` and each term's exponents are worked out once per (L, eps);
-    a call runs the complex operations of discrete_symbol's per-term loop in
-    the same order on Python ``complex`` values with ``cmath.exp``.
+    ``eps**s_j`` and each term's exponents are worked out once per (L, eps).
+    With ``cmath.exp`` the function takes d Python floats and returns a
+    Python ``complex``, which the Nelder-Mead refinements call once per
+    point; with ``np.exp`` it takes array columns and adds into the zero
+    array ``out``.  Both run the same complex operations in the same order.
     """
     axes = [(h, 1j * h, -1j * h) for h in (eps ** s for s in L.scaling.s)]
     terms = [(complex(a), [(j, g[j], dl[j]) for j in range(L.d) if g[j] or dl[j]])
              for g, dl, a in L.terms]
-    exp = cmath.exp
 
-    def symbol(theta) -> complex:
+    def symbol(theta, out=0j):
         fwd = []
         bwd = []
         for (h, ih, mih), t in zip(axes, theta):
             fwd.append((exp(ih * t) - 1.0) / h)
             bwd.append((1.0 - exp(mih * t)) / h)
-        out = 0j
         for term, powers in terms:
             for j, p, q in powers:
                 if p:
@@ -334,11 +320,11 @@ def _refined_minima(L: DiffOperator, eps: float, starts):
     (|symbol| at the minimiser, minimiser).
 
     The search is the Python-float port of scipy's bounded Nelder-Mead in
-    ``_nelder_mead`` on the one-point symbol of ``_point_symbol``, so it
+    ``_nelder_mead`` on the one-point symbol of ``_symbol_function``, so it
     returns what ``scipy.optimize.minimize`` on ``discrete_symbol`` returns,
     bit for bit, without numpy's per-step overhead on a 2-4 point simplex.
     """
-    symbol = _point_symbol(L, eps)
+    symbol = _symbol_function(L, eps)
     hi = dual_torus_bounds(L.scaling, eps)
     lo = tuple(-b for b in hi)
     for start in starts:
