@@ -4,7 +4,7 @@ from .geometry import MultiIndex, ScaleMap, Scaling, compose_scale, multi_indice
 from .germs import (CenterReport, DistGerm, Germ, Window, center_check,
                     frozen_coefficient_germ, germ_from_text, germ_to_text, jet_germ,
                     load_germ, restrict_initial, save_germ, scale_germ)
-from .discrete_ops import (DiffOperator, DualPoint, EllipticityReport, adjoint,
+from .discrete_ops import (DiffOperator, EllipticityReport, adjoint,
                            apply_to_field, apply_to_germ, continuum_symbol,
                            discrete_monomial, discrete_symbol, is_discretely_elliptic,
                            load_operator, make_operator, monomial_diff_rule_check,

@@ -68,19 +68,21 @@ def _float_list(text):
 
 def _finite_float(lo: float, strict: bool):
     """argparse type: a finite number above ``lo`` (or equal to it unless strict)."""
+    bound = "" if lo == -math.inf else f" {'>' if strict else '>='} {lo:g}"
+
     def parse(text):
         try:
             x = float(text)
         except ValueError:
             x = math.nan
         if not (math.isfinite(x) and (x > lo if strict else x >= lo)):
-            raise argparse.ArgumentTypeError(
-                f"expected a finite number {'>' if strict else '>='} {lo:g}, got {text!r}")
+            raise argparse.ArgumentTypeError(f"expected a finite number{bound}, got {text!r}")
         return x
     return parse
 
 
-_grid_scale = _finite_float(0.0, strict=True)
+_positive = _finite_float(0.0, strict=True)
+_non_negative = _finite_float(0.0, strict=False)
 
 
 # one parser per process: parsing does not change it, and a build costs about 3 ms
@@ -94,15 +96,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True,
                    choices=["G-eta", "G-eta-alpha", "G-gamma", "sup-below"])
     p.add_argument("--germ", required=True, help="germ file")
-    p.add_argument("--eta", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--R", type=float, help="restrict distances/scales below R")
+    p.add_argument("--eta", type=_positive)
+    p.add_argument("--alpha", type=_positive)
+    p.add_argument("--gamma", type=_finite_float(-math.inf, strict=True))
+    p.add_argument("--R", type=_positive, help="restrict distances/scales below R")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("symbol", help="evaluate operator symbols")
     _add_operator_flags(p)
-    p.add_argument("--eps", type=_grid_scale, default=1.0)
+    p.add_argument("--eps", type=_positive, default=1.0)
     p.add_argument("--theta", type=_float_list, help="dual-torus frequency, comma separated")
     p.add_argument("--xi", type=_float_list, help="continuum frequency, comma separated")
     p.add_argument("--json", action="store_true")
@@ -110,15 +112,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ellipticity",
                        help="classify an operator by symbol scans")
     _add_operator_flags(p)
-    p.add_argument("--eps", type=_grid_scale, default=1.0)
+    p.add_argument("--eps", type=_positive, default=1.0)
     p.add_argument("--resolution", type=int, default=64)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("liouville",
                        help="polynomial kernel and symbol zero search")
     _add_operator_flags(p)
-    p.add_argument("--eps", type=_grid_scale, default=1.0)
-    p.add_argument("--eta", type=_finite_float(0.0, strict=False), required=True)
+    p.add_argument("--eps", type=_positive, default=1.0)
+    p.add_argument("--eta", type=_non_negative, required=True)
     p.add_argument("--zero-search", action="store_true")
     p.add_argument("--resolution", type=int, default=64)
     p.add_argument("--json", action="store_true")
@@ -126,8 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weights",
                        help="construct and verify an absorption weight system")
     p.add_argument("--scaling", required=True, help="grading, comma separated")
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--eta", type=_non_negative, required=True)
+    p.add_argument("--delta", type=_positive, required=True)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("probe",
@@ -155,8 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extend",
                        help="extend a partial field without raising its Holder constant")
     p.add_argument("--field", required=True, help="field file with defined-point flags")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--holder-const", type=float, required=True)
+    p.add_argument("--alpha", type=_positive, required=True)
+    p.add_argument("--holder-const", type=_non_negative, required=True)
     p.add_argument("--out", help="write the extended field here")
     p.add_argument("--json", action="store_true")
     return ap

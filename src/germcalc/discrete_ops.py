@@ -4,7 +4,7 @@ Operators are finite sums ``a[gamma, delta] D^gamma Dbar^delta`` of forward
 and backward differences, scaling-homogeneous of a fixed weighted order.
 Alongside application to fields and germs, this module evaluates the lattice
 (dual-torus) and continuum symbols, classifies ellipticity by symbol scans,
-and provides the falling-factorial monomial calculus that diagonalizes the
+and checks that the falling-factorial monomials of ``germs`` diagonalize the
 forward differences.
 """
 
@@ -20,7 +20,7 @@ from ._nelder_mead import nelder_mead
 from .errors import DimensionError, ValidationError
 from .geometry import MultiIndex, Scaling
 from .germs import (DistGerm, Germ, Window, _key_values, _line_errors, _text_rows,
-                    iterated_diff)
+                    difference_coefficients, falling_factorial, forward_differences)
 
 Term = tuple[MultiIndex, MultiIndex, complex]
 
@@ -112,15 +112,13 @@ def _apply_stencils(L: DiffOperator, arr: np.ndarray, window: Window, lead: int)
     out_win = window.shrink(lo_margin=bwd, hi_margin=fwd)
     out = np.zeros(arr.shape[:lead] + out_win.shape, dtype=complex)
     for g, dl, a in L.terms:
-        diff = arr
-        for j in range(L.d):
-            n = g[j] + dl[j]
-            if n:
-                diff = iterated_diff(diff, j + lead, n, window.steps[j])
-        # diff entry i sits at lattice index lo + dl + i on each window axis
+        # D^g Dbar^dl is D^(g + dl) shifted down by dl: entry i sits at lattice
+        # index lo + dl + i.  One evaluator per term, since a shared one would
+        # keep every term's chain of tables alive until the last term
+        diff = forward_differences(arr, window, lead)(tuple(p + q for p, q in zip(g, dl)))
         sel = (slice(None),) * lead + tuple(
             slice(bwd[j] - dl[j], bwd[j] - dl[j] + out_win.shape[j]) for j in range(L.d))
-        out = out + a * diff[sel]
+        out += a * diff[sel]
     if np.all(out.imag == 0):
         out = out.real
     return out, out_win
@@ -138,22 +136,6 @@ def adjoint(L: DiffOperator) -> DiffOperator:
 
 # ---------------------------------------------------------------------------
 # symbols
-
-
-@dataclass(frozen=True)
-class DualPoint:
-    """Frequency on the dual torus: theta_j in [-pi eps**-s_j, pi eps**-s_j)."""
-
-    scaling: Scaling
-    eps: float
-    theta: tuple[float, ...]
-
-    def __post_init__(self):
-        self.scaling.check_dim(self.theta)
-        for j, (t, s) in enumerate(zip(self.theta, self.scaling.s)):
-            cap = math.pi * self.eps ** (-s)
-            if not (-cap - 1e-9 <= t < cap + 1e-9):
-                raise ValidationError(f"theta[{j}]={t} outside the dual torus")
 
 
 def dual_torus_bounds(scaling: Scaling, eps: float) -> tuple[float, ...]:
@@ -196,8 +178,6 @@ def continuum_symbol(L: DiffOperator, xi) -> complex | np.ndarray:
 def discrete_symbol(L: DiffOperator, eps: float, theta) -> complex | np.ndarray:
     """Dual-torus symbol built from the forward/backward difference factors
     ``eps**-s_j (exp(i eps**s_j theta_j) - 1)`` and its reflected conjugate."""
-    if isinstance(theta, DualPoint):
-        theta = theta.theta
     T, out = _frequency_columns(L, theta)
     if isinstance(out, complex):
         return _symbol_function(L, eps)(T)
@@ -303,10 +283,17 @@ def continuum_symbol_scan(L: DiffOperator, samples: int = 1000):
     return best, tuple(float(x) for x in wit)
 
 
+#: Largest dual-torus scan grid: four times the largest documented scan (3D at 64).
+MAX_SCAN_POINTS = 2 ** 20
+
+
 def _discrete_grid_scan(L: DiffOperator, eps: float, resolution: int):
     """Dual-torus grid, ``resolution`` points per axis, and |lattice symbol| there."""
     if resolution < 8:
         raise ValidationError("resolution must be at least 8 per axis")
+    if resolution ** L.d > MAX_SCAN_POINTS:
+        raise ValidationError(f"resolution {resolution} gives {resolution ** L.d} scan points "
+                              f"in {L.d}D; at most {MAX_SCAN_POINTS} are allowed")
     bounds = dual_torus_bounds(L.scaling, eps)
     axes = [(-b + 2 * b * np.arange(resolution) / resolution) for b in bounds]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -404,21 +391,16 @@ def is_discretely_elliptic(L: DiffOperator, eps: float = 1.0,
 
 
 def discrete_monomial(scaling: Scaling, eps: float, gamma: MultiIndex, k) -> np.ndarray:
-    """Anisotropic falling factorial: per axis, the product of
-    ``k_j - eps**s_j * m`` over m < gamma_j; exact in integers when the
-    inputs and steps are integral."""
+    """The falling factorial ``k^(gamma)`` at lattice points k, rows of
+    physical coordinates, with steps ``eps**s_j``; exact in integers when the
+    points and steps are integral."""
     scaling.check_dim(gamma)
-    k = np.asarray(k)
-    single = k.ndim == 1
     K = np.atleast_2d(k)
     steps = [eps ** s for s in scaling.s]
-    int_mode = K.dtype.kind in "iu" and all(float(st).is_integer() for st in steps)
-    out = np.ones(K.shape[0], dtype=np.int64 if int_mode else float)
-    for j, st in enumerate(steps):
-        stv = np.int64(st) if int_mode else st
-        for m in range(int(gamma[j])):
-            out = out * (K[:, j] - m * stv)
-    return out[0] if single else out
+    if K.dtype.kind in "iu" and all(float(st).is_integer() for st in steps):
+        steps = [np.int64(st) for st in steps]
+    out = falling_factorial(K.T, steps, tuple(int(n) for n in gamma))
+    return out[0] if np.ndim(k) == 1 else out
 
 
 def monomial_diff_rule_check(scaling: Scaling, eps: float, gamma: MultiIndex,
@@ -430,32 +412,23 @@ def monomial_diff_rule_check(scaling: Scaling, eps: float, gamma: MultiIndex,
     Returns (max abs deviation, exact flag); exact means integer-arithmetic
     equality (only possible when eps makes all steps integral).
     """
-    d = scaling.d
-    win = Window(scaling, eps, (-halfwidth,) * d, (halfwidth,) * d)
-    steps = win.steps
-    int_mode = all(float(st).is_integer() for st in steps)
-    pts = win.indices() * (np.array(steps, dtype=np.int64) if int_mode
-                           else np.array(steps))
-    f = discrete_monomial(scaling, eps, delta, pts).reshape(win.shape)
-    arr = f
-    for j in range(d):
-        if gamma[j]:
-            arr = iterated_diff(arr, j, gamma[j], steps[j])
-    sel = tuple(slice(0, win.shape[j] - gamma[j]) for j in range(d))
-    valid_pts = pts.reshape(win.shape + (d,))[sel].reshape(-1, d)
+    win = Window(scaling, eps, (-halfwidth,) * scaling.d, (halfwidth,) * scaling.d)
+    steps = np.array(win.steps)
+    if all(h.is_integer() for h in steps):
+        steps = steps.astype(np.int64)
+    f = discrete_monomial(scaling, eps, delta, win.indices() * steps).reshape(win.shape)
+    gamma = tuple(gamma)
+    valid = win.shrink(hi_margin=gamma)
+    got = difference_coefficients(f, win, [gamma], valid)[gamma]
     if all(g <= dl for g, dl in zip(gamma, delta)):
-        fac = math.prod(math.factorial(dl) // math.factorial(dl - g)
-                        for g, dl in zip(gamma, delta))
-        expect = fac * discrete_monomial(
-            scaling, eps, tuple(dl - g for g, dl in zip(gamma, delta)), valid_pts)
+        fac = math.prod(math.perm(dl, g) for g, dl in zip(gamma, delta))
+        lowered = tuple(dl - g for g, dl in zip(gamma, delta))
+        expect = fac * discrete_monomial(scaling, eps, lowered, valid.indices() * steps)
     else:
-        expect = np.zeros(valid_pts.shape[0], dtype=arr.dtype)
-    got = arr.reshape(-1)
-    if int_mode and got.dtype.kind in "iu":
-        err = np.max(np.abs(got - expect)) if got.size else 0
-        return float(err), bool(err == 0)
-    err = float(np.max(np.abs(got - np.asarray(expect, dtype=float))))
-    return err, False
+        expect = 0
+    err = float(np.max(np.abs(got - expect)))
+    # integer differences arise only at integral points and unit steps
+    return err, bool(got.dtype.kind in "iu" and err == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ class Window:
         if any(l > h for l, h in zip(self.lo, self.hi)):
             raise ValueError(f"empty window: lo={self.lo} hi={self.hi}")
         if any(h - l + 1 > MAX_POINTS_PER_AXIS for l, h in zip(self.lo, self.hi)):
-            raise ValueError(
+            raise ValidationError(
                 f"window exceeds {MAX_POINTS_PER_AXIS} points on an axis; "
                 "dense germ tables would be too large")
 
@@ -90,6 +90,10 @@ class Window:
         idx.flags.writeable = False
         xyz.flags.writeable = False
         return idx, xyz
+
+    def slice_in(self, outer: "Window") -> tuple[slice, ...]:
+        """Slices that cut this window out of an array laid out on ``outer``."""
+        return tuple(slice(l - o, h - o + 1) for l, h, o in zip(self.lo, self.hi, outer.lo))
 
     def flat(self, idx) -> int:
         """Flat position of an index tuple, C order."""
@@ -128,23 +132,6 @@ class Window:
             if center_idx[j] - reach < self.lo[j] or center_idx[j] + reach > self.hi[j]:
                 return False
         return True
-
-
-def iterated_diff(arr: np.ndarray, axis: int, n: int, h: float) -> np.ndarray:
-    """n-fold first difference along an axis, divided by h**n.
-
-    The returned array is the raw difference table; the caller tracks which
-    lattice indices it represents (forward differences keep the lower edge,
-    backward differences shift it up by one per application).
-    """
-    out = arr
-    for _ in range(n):
-        upper = np.take(out, range(1, out.shape[axis]), axis=axis)
-        lower = np.take(out, range(0, out.shape[axis] - 1), axis=axis)
-        out = upper - lower
-        if h != 1:
-            out = out / h
-    return out
 
 
 @dataclass(frozen=True)
@@ -204,46 +191,66 @@ def jet_margins(scaling: Scaling, order: float) -> tuple[int, ...]:
     return tuple(int(math.floor(order / s + 1e-12)) for s in scaling.s)
 
 
-def _difference_coefficients(u: np.ndarray, window: Window, gammas, base: Window):
-    """Forward differences D^gamma u evaluated at the base points."""
+def forward_differences(arr: np.ndarray, window: Window, lead: int):
+    """``D(gamma)``: the memoised table of ``D^gamma arr`` along the window
+    axes that follow ``lead`` untouched axes of ``arr``.
+
+    Each table is one forward difference of ``D(gamma - e_j)`` along the last
+    axis j that gamma uses, so axis 0 is differenced first.  Entry i sits at
+    lattice index ``window.lo + i``; integer arrays at unit steps stay integer.
+    """
+    tables = {(0,) * window.d: arr}
+    steps = window.steps
+
+    def D(gamma: MultiIndex) -> np.ndarray:
+        # a loop, not recursion: a self-calling closure is a reference cycle
+        # that keeps every table alive until the cycle collector runs
+        chain = []
+        while gamma not in tables:
+            j = max(ax for ax, n in enumerate(gamma) if n)
+            chain.append((gamma, j))
+            gamma = gamma[:j] + (gamma[j] - 1,) + gamma[j + 1:]
+        out = tables[gamma]
+        for gamma, j in reversed(chain):
+            out = np.diff(out, axis=lead + j)
+            if steps[j] != 1:
+                out = out / steps[j]
+            tables[gamma] = out
+        return out
+    return D
+
+
+def difference_coefficients(u: np.ndarray, window: Window, gammas, at: Window) -> dict:
+    """``D^gamma u`` at the points of the sub-window ``at``, flattened, per gamma."""
     u = np.asarray(u)
     if u.shape != window.shape:
         raise DimensionError(f"field shape {u.shape} != window shape {window.shape}")
-    tables: dict[MultiIndex, np.ndarray] = {}
-    zero = (0,) * window.d
-    tables[zero] = u
+    D = forward_differences(u, window, 0)
+    sel = at.slice_in(window)
     coeffs = {}
-    sel = tuple(slice(base.lo[j] - window.lo[j],
-                      base.hi[j] - window.lo[j] + 1) for j in range(window.d))
     for g in gammas:
-        if g not in tables:
-            # one more forward difference of a predecessor, which has lower
-            # degree and so comes earlier in ``gammas``
-            j = next(ax for ax in range(window.d) if g[ax] > 0)
-            prev = tuple(x - (1 if ax == j else 0) for ax, x in enumerate(g))
-            tables[g] = iterated_diff(tables[prev], j, 1, window.steps[j])
-        arr = tables[g]
-        if any(arr.shape[j] < base.hi[j] - base.lo[j] + 1 for j in range(window.d)):
+        if any(h + n > wh for h, n, wh in zip(at.hi, g, window.hi)):
             raise BoundaryError("difference stencil exits the window; shrink the base set")
-        coeffs[g] = arr[sel].reshape(-1)
+        coeffs[g] = D(g)[sel].reshape(-1)
     return coeffs
 
 
-def lattice_monomial_pair(base: Window, active: Window, gamma: MultiIndex) -> np.ndarray:
-    """Table of the centered falling-factorial monomial over base/active pairs.
+def falling_factorial(offsets, steps, gamma: MultiIndex) -> np.ndarray:
+    """Anisotropic falling factorial: the product over axes j and m < gamma_j
+    of ``offsets[j] - m * steps[j]``; the offsets of unused axes only shape
+    the all-ones result of gamma = 0.
 
-    Entry (x, y) is the product over axes of
-    ``(y_j - x_j)(y_j - x_j - h_j) ... (y_j - x_j - (gamma_j - 1) h_j)``
-    with ``h_j`` the axis step.  These monomials diagonalize the forward
-    differences, which makes jet centering exact on the lattice.
+    These monomials diagonalise the forward differences, which makes jet
+    centering exact on the lattice; the product stays in integers when the
+    offsets and steps are integers.
     """
-    X = base.coords()
-    Y = active.coords()
-    out = np.ones((X.shape[0], Y.shape[0]))
-    for j, h in enumerate(base.steps):
-        t = Y[None, :, j] - X[:, None, j]
-        for m in range(gamma[j]):
-            out = out * (t - m * h)
+    out = None
+    for t, h, n in zip(offsets, steps, gamma):
+        for m in range(n):
+            out = t - m * h if out is None else out * (t - m * h)
+    if out is None:
+        shape = np.broadcast_shapes(*(np.shape(t) for t in offsets))
+        out = np.ones(shape, dtype=np.result_type(*offsets, *steps))
     return out
 
 
@@ -257,9 +264,9 @@ def jet_germ(u: np.ndarray, window: Window, order: int) -> Germ:
     if order < 0:
         raise ValueError("jet order must be >= 0")
     base = window.shrink(hi_margin=jet_margins(scaling, order))
-    coeffs = _difference_coefficients(u, window, multi_indices(scaling, order), base)
-    vals = np.repeat(np.asarray(u).reshape(1, -1), base.npoints, axis=0)
-    vals = np.array(vals, dtype=np.result_type(u, float))
+    coeffs = difference_coefficients(u, window, multi_indices(scaling, order), base)
+    u = np.asarray(u, dtype=np.result_type(u, float))
+    vals = np.repeat(u.reshape(1, -1), base.npoints, axis=0)
     return _minus_jets(vals, coeffs, base, window)
 
 
@@ -269,27 +276,29 @@ def frozen_coefficient_germ(u: np.ndarray, v: np.ndarray, a: np.ndarray,
     scaling = window.scaling
     base = window.shrink(hi_margin=jet_margins(scaling, order))
     gammas = multi_indices(scaling, order)
-    cu = _difference_coefficients(u, window, gammas, base)
-    cv = _difference_coefficients(v, window, gammas, base)
+    cu = difference_coefficients(u, window, gammas, base)
+    cv = difference_coefficients(v, window, gammas, base)
     a = np.asarray(a)
     if a.shape != window.shape:
         raise DimensionError("coefficient field shape does not match window")
-    sel = tuple(slice(base.lo[j] - window.lo[j],
-                      base.hi[j] - window.lo[j] + 1) for j in range(window.d))
-    a_base = a[sel].reshape(-1)
-    uf = np.asarray(u).reshape(-1)
-    vf = np.asarray(v).reshape(-1)
-    vals = uf[None, :] - a_base[:, None] * vf[None, :]
-    vals = np.array(vals, dtype=np.result_type(u, v, a, float))
+    a_base = a[base.slice_in(window)].reshape(-1)
+    dtype = np.result_type(u, v, a, float)
+    uf, vf = (np.asarray(f, dtype=dtype).reshape(1, -1) for f in (u, v))
+    vals = uf - a_base[:, None] * vf
     return _minus_jets(vals, {g: cu[g] - a_base * cv[g] for g in gammas}, base, window)
 
 
 def _minus_jets(vals: np.ndarray, coeffs: dict, base: Window, window: Window) -> Germ:
     """Germ ``vals - Q_x``: Q_x is the falling-factorial polynomial with
-    ``coeffs[gamma][x] / gamma!`` in front of the monomial gamma."""
+    ``coeffs[gamma][x] / gamma!`` in front of the monomial gamma, centred
+    at x: entry (x, y) of its table is the falling factorial of y - x."""
+    X, Y = base.coords(), window.coords()
     for g, c in coeffs.items():
         fact = math.prod(math.factorial(k) for k in g)
-        vals -= (c / fact)[:, None] * lattice_monomial_pair(base, window, g)
+        # a contiguous (base, active) plane of y_j - x_j for each axis g uses,
+        # made per monomial so that one monomial's planes are alive at a time
+        offsets = [Y[None, :, j] - X[:, None, j] if n else 0.0 for j, n in enumerate(g)]
+        vals -= (c / fact)[:, None] * falling_factorial(offsets, base.steps, g)
     return Germ(base, window, vals)
 
 
@@ -354,31 +363,18 @@ def center_check(U: Germ, eta: float, tol: float = 1e-10) -> CenterReport:
     Only base points whose forward stencils stay inside the active window are
     tested.  Differences act on the active variable, per fixed base point.
     """
-    scaling = U.scaling
-    gammas = multi_indices(scaling, eta)
     act = U.active
-    vals = U.values.reshape((U.base.npoints,) + act.shape)
+    D = forward_differences(U.values.reshape((U.base.npoints,) + act.shape), act, 1)
     base_idx = U.base.indices()
+    pos = base_idx - np.array(act.lo)  # table position of each base point
     worst = 0.0
     wit_x = None
     wit_g = None
-    for g in gammas:
-        arr = vals
-        for j, n in enumerate(g):
-            if n:
-                arr = iterated_diff(arr, j + 1, n, act.steps[j])
-        # arr entry (b, k) is D^g U_b at active index act.lo + k
-        ok = np.ones(base_idx.shape[0], dtype=bool)
-        pos = np.empty((base_idx.shape[0], act.d), dtype=np.int64)
-        for j in range(act.d):
-            pos[:, j] = base_idx[:, j] - act.lo[j]
-            ok &= (base_idx[:, j] >= act.lo[j]) & \
-                  (base_idx[:, j] + g[j] <= act.hi[j])
-        rows = np.nonzero(ok)[0]
+    for g in multi_indices(U.scaling, eta):
+        rows = np.nonzero(np.all((pos >= 0) & (base_idx + g <= act.hi), axis=1))[0]
         if rows.size == 0:
             continue
-        picked = arr[(rows,) + tuple(pos[rows, j] for j in range(act.d))]
-        viol = np.abs(picked)
+        viol = np.abs(D(g)[(rows,) + tuple(pos[rows].T)])
         i = int(np.argmax(viol))
         if viol[i] > worst:
             worst = float(viol[i])

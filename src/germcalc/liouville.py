@@ -10,15 +10,14 @@ bounded exponential solution.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .discrete_ops import (DiffOperator, _discrete_grid_scan, _refined_minima, apply_to_field,
-                           discrete_monomial, dual_torus_bounds)
+                           dual_torus_bounds)
 from .geometry import MultiIndex, Scaling, multi_indices
-from .germs import Window, iterated_diff
+from .germs import Window, difference_coefficients, falling_factorial, jet_margins
 
 _SVD_CUTOFF = 1e-10
 
@@ -43,11 +42,12 @@ class KernelBasis:
 
     def evaluate(self, vector_idx: int, pts: np.ndarray) -> np.ndarray:
         """Evaluate one kernel element at physical lattice points."""
-        out = np.zeros(np.atleast_2d(pts).shape[0], dtype=complex)
+        offsets = np.atleast_2d(pts).T
+        steps = [self.eps ** s for s in self.operator.scaling.s]
+        out = np.zeros(offsets.shape[1], dtype=complex)
         for c, g in zip(self.vectors[vector_idx], self.gammas):
             if c != 0:
-                out = out + c * discrete_monomial(self.operator.scaling, self.eps, g,
-                                                  np.atleast_2d(pts)).astype(float)
+                out = out + c * falling_factorial(offsets, steps, g)
         return out
 
     def contains(self, coeffs, tol: float = 1e-8) -> bool:
@@ -63,16 +63,15 @@ class KernelBasis:
 
 
 def _determination_window(scaling: Scaling, eps: float, eta: float, m: int) -> Window:
-    # a polynomial of weighted degree <= eta is pinned down by this many
-    # points per axis, with room for the operator stencil
-    widths = [int(math.floor(eta / s + 1e-12)) + m + 2 for s in scaling.s]
-    return Window(scaling, eps, (0,) * scaling.d, tuple(w - 1 for w in widths))
+    # a polynomial of weighted degree <= eta is pinned down by its jet stencil
+    # plus one point per axis, with room for the operator stencil
+    return Window(scaling, eps, (0,) * scaling.d,
+                  tuple(r + m + 1 for r in jet_margins(scaling, eta)))
 
 
-def _monomial_fields(scaling: Scaling, eps: float, gammas, win: Window) -> list[np.ndarray]:
-    pts = win.coords()
-    return [np.asarray(discrete_monomial(scaling, eps, g, pts), dtype=float).reshape(win.shape)
-            for g in gammas]
+def _monomial_fields(gammas, win: Window) -> list[np.ndarray]:
+    offsets = win.coords().T
+    return [falling_factorial(offsets, win.steps, g).reshape(win.shape) for g in gammas]
 
 
 def polynomial_kernel(L: DiffOperator, eps: float, eta: float) -> KernelBasis:
@@ -88,9 +87,10 @@ def polynomial_kernel(L: DiffOperator, eps: float, eta: float) -> KernelBasis:
     if eta < 0:
         raise ValueError("degree cutoff must be >= 0")
     scaling = L.scaling
-    gammas = tuple(multi_indices(scaling, eta))
+    # the window first: its size cap rejects an eta whose monomials are too many
     win = _determination_window(scaling, eps, eta, L.order)
-    fields = _monomial_fields(scaling, eps, gammas, win)
+    gammas = tuple(multi_indices(scaling, eta))
+    fields = _monomial_fields(gammas, win)
     cols = []
     for f in fields:
         vals, _ = apply_to_field(L, f, win)
@@ -134,17 +134,13 @@ def rigidity_matrix(scaling: Scaling, eps: float, eta: float) -> np.ndarray:
     """Matrix of centered forward-difference values: entry (i, j) is
     D^gamma_i applied to the j-th falling-factorial monomial, at the origin."""
     gammas = multi_indices(scaling, eta)
-    reach = tuple(int(math.floor(eta / s + 1e-12)) for s in scaling.s)
-    win = Window(scaling, eps, (0,) * scaling.d, tuple(max(r, 0) for r in reach))
-    fields = _monomial_fields(scaling, eps, gammas, win)
+    win = Window(scaling, eps, (0,) * scaling.d,
+                 tuple(max(r, 0) for r in jet_margins(scaling, eta)))
+    origin = Window(scaling, eps, (0,) * scaling.d, (0,) * scaling.d)
     T = np.zeros((len(gammas), len(gammas)))
-    for j, f in enumerate(fields):
-        for i, g in enumerate(gammas):
-            arr = f
-            for ax, n in enumerate(g):
-                if n:
-                    arr = iterated_diff(arr, ax, n, win.steps[ax])
-            T[i, j] = arr[(0,) * scaling.d]
+    for j, f in enumerate(_monomial_fields(gammas, win)):
+        coeffs = difference_coefficients(f, win, gammas, origin)
+        T[:, j] = [coeffs[g][0] for g in gammas]
     return T
 
 

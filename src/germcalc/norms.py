@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._minimax import achieved_value, solve_minimax, weighted_lstsq
-from .errors import DimensionError, DomainTooSmallError, UnderdeterminedFitError, InputNotHolderError
+from .errors import (DimensionError, DomainTooSmallError, InputNotHolderError,
+                     UnderdeterminedFitError, ValidationError)
 from .geometry import MultiIndex, Scaling, multi_indices
 from .germs import Germ, Window
 
@@ -199,7 +200,7 @@ def _pow_dist(D: np.ndarray, expo: float) -> np.ndarray:
 def norm_G_eta(U: Germ, eta: float, R: float | None = None) -> NormReport:
     """Best constant M with ``|U_x(y)| <= M d(x, y)**eta`` over the window."""
     if not eta > 0:
-        raise ValueError("eta must be positive")
+        raise ValidationError("eta must be positive")
     D = U.distances
     mask = _within(D, R)
     name = "G_eta" if R is None else "G_eta_local"
@@ -316,7 +317,7 @@ def seminorm_G_eta_alpha(U: Germ, eta: float, alpha: float,
     least-squares fit per pair otherwise.
     """
     if not (0 < alpha < eta):
-        raise ValueError("need 0 < alpha < eta")
+        raise ValidationError("need 0 < alpha < eta")
     a_pos = _base_columns(U)
     scaling = U.scaling
     act = U.active
@@ -551,8 +552,7 @@ def _dual_lower_bound(Phi_S: np.ndarray, r_S: np.ndarray, W_S: np.ndarray,
 # negative-order semi-norm against the test family
 
 
-def seminorm_G_gamma(V: Germ, gamma: float, family: TestFunctionFamily | None = None,
-                     R: float | None = None) -> NormReport:
+def seminorm_G_gamma(V: Germ, gamma: float, R: float | None = None) -> NormReport:
     """Sup over family members, base points and admissible scales of
     ``lam**(-gamma) |<V_x, phi_x^lam>_eps|``.
 
@@ -561,10 +561,9 @@ def seminorm_G_gamma(V: Germ, gamma: float, family: TestFunctionFamily | None = 
     skipped.
     """
     if not gamma < 0:
-        raise ValueError("gamma must be negative")
+        raise ValidationError("gamma must be negative")
     scaling = V.scaling
-    if family is None:
-        family = build_default_family(scaling, int(math.ceil(-gamma)))
+    family = build_default_family(scaling, int(math.ceil(-gamma)))
     act = V.active
     lam_cap = act.diameter() / 2
     strict = False
@@ -614,7 +613,7 @@ def mcshane_extend(f: np.ndarray, mask: np.ndarray, window: Window, alpha: float
     The input must satisfy the stated Holder bound on its domain.
     """
     if not (0 < alpha < 1):
-        raise ValueError("alpha must lie in (0, 1)")
+        raise ValidationError("alpha must lie in (0, 1)")
     f = np.asarray(f, dtype=float).reshape(-1)
     mask = np.asarray(mask, dtype=bool).reshape(-1)
     if f.shape[0] != window.npoints or mask.shape[0] != window.npoints:
@@ -643,8 +642,7 @@ def mcshane_extend(f: np.ndarray, mask: np.ndarray, window: Window, alpha: float
 # witness replay
 
 
-def reevaluate_report(report: NormReport, U: Germ,
-                      family: TestFunctionFamily | None = None) -> float:
+def reevaluate_report(report: NormReport, U: Germ) -> float:
     """Recompute the reported value from its witness alone."""
     w = report.witness
     if not w:
@@ -660,8 +658,7 @@ def reevaluate_report(report: NormReport, U: Germ,
         b, a = U.base.flat(w["base"]), U.active.flat(w["active"])
         return float(abs(U.values[b, a]) / U.distances[b, a] ** report.params["eta"])
     if report.name.startswith("G_gamma"):
-        if family is None:
-            family = build_default_family(scaling, report.params["k"])
+        family = build_default_family(scaling, report.params["k"])
         xf = U.base.flat(w["base"])
         lam = w["lam"]
         pos = U.active.ball(w["base"], lam)

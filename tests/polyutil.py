@@ -182,11 +182,11 @@ def laplacian_neighbor_form(f: np.ndarray, window):
     return out, inner
 
 
-def rescaled_sides(U, L, eta: float, alpha: float, R: float, family=None) -> dict:
+def rescaled_sides(U, L, eta: float, alpha: float, R: float) -> dict:
     """Both sides recomputed after jointly rescaling germ, window and grid.
 
     Under the joint rescale every component scales by ``R**eta``, so the
     ratio must be invariant; this is the computational core of the reduction
     to unit grid scale."""
     Us = scale_germ(U, ScaleMap(U.scaling, (0.0,) * U.scaling.d, R))
-    return schauder_sides(Us, L, eta, alpha, family)
+    return schauder_sides(Us, L, eta, alpha)

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from germcalc import (DistGerm, Germ, ScaleMap, Scaling, build_default_family,
+from germcalc import (DistGerm, Germ, ScaleMap, Scaling,
                       centered_rigidity_check, construct_weights, continuum_symbol,
                       discrete_symbol, is_discretely_elliptic, jet_germ,
                       mcshane_extend, monomial_diff_rule_check, multi_indices,
@@ -56,7 +56,6 @@ def test_criterion_01_scaling_identities():
                  (Scaling((2, 1)), preset_operator("heat", 2))]
         for scaling, L in cases:
             m = L.order
-            fam = build_default_family(scaling, int(math.ceil(-gamma)))
             for _ in range(10):
                 w = Window(scaling, 1.0, (-4, -4), (4, 4))
                 vals = rng.standard_normal((81, 81))
@@ -64,9 +63,9 @@ def test_criterion_01_scaling_identities():
                 V = DistGerm(w, w, vals)
                 n_eta = norm_G_eta(U, eta).value
                 n_ea = seminorm_G_eta_alpha(U, eta, alpha).value
-                n_g = seminorm_G_gamma(V, gamma, family=fam).value
+                n_g = seminorm_G_gamma(V, gamma).value
                 LU = apply_to_germ(L, U)
-                n_op = seminorm_G_gamma(LU, gamma, family=fam).value
+                n_op = seminorm_G_gamma(LU, gamma).value
                 for R in (2.0, 4.0):
                     S0 = ScaleMap(scaling, (0.0, 0.0), R)
                     Sw = ScaleMap(scaling, (1.0, 1.0), R)
@@ -75,11 +74,10 @@ def test_criterion_01_scaling_identities():
                     assert rel_err(norm_G_eta(Us, eta).value, R ** eta * n_eta) <= 1e-10
                     assert rel_err(seminorm_G_eta_alpha(Us, eta, alpha).value,
                                    R ** eta * n_ea) <= 1e-10
-                    assert rel_err(seminorm_G_gamma(Vs, gamma, family=fam).value,
+                    assert rel_err(seminorm_G_gamma(Vs, gamma).value,
                                    R ** gamma * n_g) <= 1e-10
                     # operator covariance on the rescaled lattice
-                    assert rel_err(seminorm_G_gamma(apply_to_germ(L, Us), gamma,
-                                                    family=fam).value,
+                    assert rel_err(seminorm_G_gamma(apply_to_germ(L, Us), gamma).value,
                                    R ** (gamma + m) * n_op) <= 1e-10
                     # locally uniform family, with recentering
                     assert rel_err(norm_G_eta(Uw, eta, R=1.0).value,
@@ -88,10 +86,8 @@ def test_criterion_01_scaling_identities():
                                    R ** eta * seminorm_G_eta_alpha(U, eta, alpha,
                                                                    R=R).value) <= 1e-10
                     assert rel_err(
-                        seminorm_G_gamma(apply_to_germ(L, Uw), gamma, family=fam,
-                                         R=1.0).value,
-                        R ** eta * seminorm_G_gamma(LU, gamma, family=fam,
-                                                    R=R).value) <= 1e-10
+                        seminorm_G_gamma(apply_to_germ(L, Uw), gamma, R=1.0).value,
+                        R ** eta * seminorm_G_gamma(LU, gamma, R=R).value) <= 1e-10
 
 
 def test_criterion_02_ellipticity_verdicts():

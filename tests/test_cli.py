@@ -25,6 +25,17 @@ def zero_germ_file(tmp_path):
     return path
 
 
+def partial_field_file(tmp_path):
+    w = Window(Scaling((1,)), 1.0, (0,), (8,))
+    vals = np.zeros(9)
+    mask = np.zeros(9, dtype=bool)
+    mask[[0, 4, 8]] = True
+    vals[[0, 4, 8]] = [0.0, 1.0, 0.5]
+    path = tmp_path / "partial.field"
+    path.write_text(field_to_text(vals, mask, w))
+    return path
+
+
 def test_help_for_every_subcommand(capsys):
     for cmd in ("norm", "symbol", "ellipticity", "liouville", "weights",
                 "probe", "extend"):
@@ -152,9 +163,33 @@ def test_probe_window_too_large_exits_one(capsys):
       "--resolution", "4"), "resolution must be at least 8"),
     (("liouville", "--preset", "cauchy-riemann", "--eta", "0.5", "--zero-search",
       "--resolution", "2"), "resolution must be at least 8"),
+    (("norm", "--kind", "G-eta", "--germ", "GERM", "--eta", "-1"), "--eta"),
+    (("norm", "--kind", "G-eta", "--germ", "GERM", "--eta", "nan"), "--eta"),
+    (("norm", "--kind", "G-eta-alpha", "--germ", "GERM", "--eta", "1.5", "--alpha", "2"),
+     "need 0 < alpha < eta"),
+    (("norm", "--kind", "G-gamma", "--germ", "GERM", "--gamma", "0.5"),
+     "gamma must be negative"),
+    (("norm", "--kind", "sup-below", "--germ", "GERM", "--R", "-1"), "--R"),
+    (("weights", "--scaling", "1", "--eta", "nan", "--delta", "0.1"), "--eta"),
+    (("weights", "--scaling", "1", "--eta", "inf", "--delta", "0.1"), "--eta"),
+    (("extend", "--field", "FIELD", "--alpha", "1.5", "--holder-const", "1"),
+     "alpha must lie in (0, 1)"),
+    (("extend", "--field", "FIELD", "--alpha", "0.5", "--holder-const", "-1"),
+     "--holder-const"),
+    (("extend", "--field", "FIELD", "--alpha", "0.5", "--holder-const", "nan"),
+     "--holder-const"),
+    (("probe", "--scaling", "1", "--window", "4", "--eps", "inf"), "grid scales"),
+    (("probe", "--scaling", "1", "--window", "4", "--eps", "nan"), "grid scales"),
+    (("liouville", "--preset", "laplacian", "--eta", "40"), "33 points"),
+    (("liouville", "--preset", "laplacian", "--eta", "1e9"), "33 points"),
+    # rejected before the scan grid is allocated
+    (("ellipticity", "--preset", "laplacian", "--resolution", "100000000"), "scan points"),
+    (("liouville", "--preset", "laplacian", "--eta", "1", "--zero-search",
+      "--resolution", "100000000"), "scan points"),
 ])
-def test_malformed_number_flags_exit_one(capsys, argv, what):
-    code, out, err = run_cli(capsys, *argv)
+def test_malformed_number_flags_exit_one(tmp_path, capsys, argv, what):
+    files = {"GERM": str(zero_germ_file(tmp_path)), "FIELD": str(partial_field_file(tmp_path))}
+    code, out, err = run_cli(capsys, *(files.get(a, a) for a in argv))
     assert code == 1 and out == ""
     assert err.startswith("germcalc") and err.count("\n") == 1 and what in err
 
@@ -322,14 +357,8 @@ def test_liouville_complex_operator(capsys):
 
 
 def test_extend_command(tmp_path, capsys):
-    s = Scaling((1,))
-    w = Window(s, 1.0, (0,), (8,))
-    vals = np.zeros(9)
-    mask = np.zeros(9, dtype=bool)
-    mask[[0, 4, 8]] = True
-    vals[[0, 4, 8]] = [0.0, 1.0, 0.5]
-    field = tmp_path / "partial.field"
-    field.write_text(field_to_text(vals, mask, w))
+    w = Window(Scaling((1,)), 1.0, (0,), (8,))
+    field = partial_field_file(tmp_path)
     out_path = tmp_path / "full.field"
     code, out, _ = run_cli(capsys, "extend", "--field", str(field), "--alpha", "0.5",
                            "--holder-const", "1.0", "--out", str(out_path), "--json")

@@ -16,7 +16,7 @@ from germcalc import (Scaling, adjoint, apply_to_field, apply_to_germ,
                       multi_indices, operator_from_text, operator_to_text,
                       preset_operator)
 from germcalc._nelder_mead import nelder_mead
-from germcalc.discrete_ops import (DualPoint, _refined_minima, _sphere_samples, _symbol_function,
+from germcalc.discrete_ops import (_refined_minima, _sphere_samples, _symbol_function,
                                    continuum_symbol_scan, dual_torus_bounds, fft_symbol_grid)
 from germcalc.errors import ValidationError
 from germcalc.germs import Window
@@ -418,13 +418,6 @@ def test_operator_validation():
         preset_operator("unknown-thing")
     with pytest.raises(ValidationError):
         preset_operator("cauchy-riemann", 3)
-
-
-def test_dual_point_range():
-    s = Scaling((2, 1))
-    DualPoint(s, 1.0, (1.0, -3.0))
-    with pytest.raises(ValidationError):
-        DualPoint(s, 1.0, (10.0, 0.0))
 
 
 def test_apply_to_germ_matches_rows(rng):

@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from germcalc import (DistGerm, Germ, ScaleMap, Scaling, center_check, compose_scale,
                       frozen_coefficient_germ, germ_from_text, germ_to_text, jet_germ,
-                      restrict_initial, scale_germ)
+                      multi_indices, restrict_initial, scale_germ)
 from germcalc.errors import (BoundaryError, DimensionError, DomainTooSmallError,
                              LatticeCompatibilityError)
-from germcalc.germs import Window, field_from_text, field_to_text
+from germcalc.germs import (Window, difference_coefficients, falling_factorial,
+                            field_from_text, field_to_text)
 
 from conftest import box, random_germ
 
@@ -187,6 +191,61 @@ def test_center_check_order_one_window():
     assert center_check(U, 1.0).centered
     assert center_check(U, 1.9).centered
     assert not center_check(U, 2.0).centered
+
+
+_gradings = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(lambda w: Scaling(tuple(w)))
+_grid_scales = st.sampled_from((1.0, 0.5, 0.37))
+
+
+@settings(max_examples=80, deadline=None)
+@given(s=_gradings, eps=_grid_scales, data=st.data())
+def test_forward_differences_lower_falling_factorials(s, eps, data):
+    # D^gamma k^(delta) = delta!/(delta-gamma)! k^(delta-gamma), and 0 unless
+    # gamma <= delta: in integers at eps 1, to 1e-12 relative otherwise
+    idx = multi_indices(s, 4)
+    gamma, delta = data.draw(st.sampled_from(idx)), data.draw(st.sampled_from(idx))
+    w = box(s, eps, 4)
+    at = w.shrink(hi_margin=gamma)
+    exact = eps == 1.0
+    steps = (1,) * s.d if exact else w.steps
+    points = (lambda win: win.indices().T) if exact else (lambda win: win.coords().T)
+    f = falling_factorial(points(w), steps, delta).reshape(w.shape)
+    got = difference_coefficients(f, w, [gamma], at)[gamma]
+    if all(g <= dl for g, dl in zip(gamma, delta)):
+        fac = math.prod(math.perm(dl, g) for g, dl in zip(gamma, delta))
+        expect = fac * falling_factorial(points(at), steps,
+                                         tuple(dl - g for g, dl in zip(gamma, delta)))
+        scale = np.max(np.abs(expect))
+    else:
+        expect = np.zeros(at.npoints, dtype=f.dtype)
+        scale = np.max(np.abs(f)) / math.prod(h ** g for h, g in zip(w.steps, gamma))
+    if exact:
+        assert got.dtype.kind == "i" and np.array_equal(got, expect)
+    else:
+        assert np.max(np.abs(got - expect)) <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=_gradings, eps=_grid_scales, order=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_jet_of_falling_factorial_polynomial_vanishes(s, eps, order, seed):
+    w = box(s, eps, 4)
+    gammas = multi_indices(s, order)
+    coef = dict(zip(gammas, np.random.default_rng(seed).standard_normal(len(gammas))))
+    u = sum(c * falling_factorial(w.coords().T, w.steps, g) for g, c in coef.items())
+    U = jet_germ(u.reshape(w.shape), w, order)
+    # the scale is the size of the Taylor terms at each base point x, not the
+    # sup of u: for a polynomial the coefficient of (y - x)^(gamma) is the sum
+    # over delta of coef * C(delta, gamma) x^(delta - gamma), and a degree-4
+    # expansion across the window exceeds sup |u| by up to about 1e3
+    X = U.base.coords()
+    offsets = [w.coords()[None, :, j] - X[:, None, j] for j in range(s.d)]
+    size = 0.0
+    for g in gammas:
+        a = sum(c * math.prod(math.comb(p, q) for p, q in zip(dl, g))
+                * falling_factorial(X.T, w.steps, tuple(p - q for p, q in zip(dl, g)))
+                for dl, c in coef.items() if all(q <= p for p, q in zip(dl, g)))
+        size = size + np.abs(a)[:, None] * np.abs(falling_factorial(offsets, w.steps, g))
+    assert np.max(np.abs(U.values)) <= 1e-12 * np.max(size)
 
 
 def test_jet_boundary_error():

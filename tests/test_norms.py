@@ -169,7 +169,7 @@ def test_G_gamma_zero_and_constant_oracle():
 
     V = DistGerm(w, w, np.ones((w.npoints, w.npoints)))
     fam = build_default_family(s, 1)
-    rep = seminorm_G_gamma(V, -0.5, family=fam)
+    rep = seminorm_G_gamma(V, -0.5)
     # direct-summation oracle over all admissible placements
     best = 0.0
     idx = w.indices()
