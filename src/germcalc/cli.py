@@ -186,8 +186,8 @@ def _cmd_norm(args) -> int:
         print(rep.to_json())
     else:
         print(f"{rep.name} = {rep.value:.17g}")
-        if rep.witness:
-            print(f"witness: {rep.witness}")
+        if rep.witness:  # the witness object that --json carries
+            print(f"witness: {json.dumps(json.loads(rep.to_json())['witness'])}")
     return 0
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from ._nelder_mead import nelder_mead
 from .errors import DimensionError, ValidationError
 from .geometry import MultiIndex, Scaling
-from .germs import (DistGerm, Germ, Window, _key_values, _line_errors, _text_rows,
+from .germs import (DistGerm, Germ, Window, _key_values, _line_errors, _number, _text_rows,
                     difference_coefficients, falling_factorial, forward_differences)
 
 Term = tuple[MultiIndex, MultiIndex, complex]
@@ -404,15 +404,16 @@ def discrete_monomial(scaling: Scaling, eps: float, gamma: MultiIndex, k) -> np.
 
 
 def monomial_diff_rule_check(scaling: Scaling, eps: float, gamma: MultiIndex,
-                             delta: MultiIndex, halfwidth: int = 4):
+                             delta: MultiIndex):
     """Verify by direct stencils that forward differences act diagonally on
     the falling factorials: D^gamma k^(delta) equals
-    ``delta!/(delta-gamma)! k^(delta-gamma)`` when gamma <= delta, else 0.
+    ``delta!/(delta-gamma)! k^(delta-gamma)`` when gamma <= delta, else 0, on
+    the window of half-width 4.
 
     Returns (max abs deviation, exact flag); exact means integer-arithmetic
     equality (only possible when eps makes all steps integral).
     """
-    win = Window(scaling, eps, (-halfwidth,) * scaling.d, (halfwidth,) * scaling.d)
+    win = Window(scaling, eps, (-4,) * scaling.d, (4,) * scaling.d)
     steps = np.array(win.steps)
     if all(h.is_integer() for h in steps):
         steps = steps.astype(np.int64)
@@ -501,7 +502,7 @@ def operator_from_text(text: str) -> DiffOperator:
             dl = tuple(int(x) for x in kv["delta"].split(","))
             scaling.degree(g)
             scaling.degree(dl)
-            terms[(g, dl)] = terms.get((g, dl), 0j) + float(kv["re"]) + 1j * float(kv["im"])
+            terms[(g, dl)] = terms.get((g, dl), 0j) + _number(kv["re"]) + 1j * _number(kv["im"])
     L = make_operator(scaling, terms)
     if m != L.order:
         raise ValidationError(f"header order m={m} does not match terms (m={L.order})")

@@ -48,8 +48,8 @@ class Window:
         object.__setattr__(self, "hi", tuple(int(x) for x in self.hi))
         self.scaling.check_dim(self.lo)
         self.scaling.check_dim(self.hi)
-        if not self.eps > 0:
-            raise ValueError(f"grid scale must be positive, got {self.eps}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"grid scale must be finite and positive, got {self.eps}")
         if any(l > h for l, h in zip(self.lo, self.hi)):
             raise ValueError(f"empty window: lo={self.lo} hi={self.hi}")
         if any(h - l + 1 > MAX_POINTS_PER_AXIS for l, h in zip(self.lo, self.hi)):
@@ -357,8 +357,8 @@ class CenterReport:
     witness_gamma: MultiIndex | None
 
 
-def center_check(U: Germ, eta: float, tol: float = 1e-10) -> CenterReport:
-    """Check ``D^gamma U_x (x) = 0`` for all weighted degrees <= eta.
+def center_check(U: Germ, eta: float) -> CenterReport:
+    """Check ``D^gamma U_x (x) = 0``, to 1e-10, for all weighted degrees <= eta.
 
     Only base points whose forward stencils stay inside the active window are
     tested.  Differences act on the active variable, per fixed base point.
@@ -380,7 +380,7 @@ def center_check(U: Germ, eta: float, tol: float = 1e-10) -> CenterReport:
             worst = float(viol[i])
             wit_x = tuple(base_idx[rows[i]])
             wit_g = g
-    return CenterReport(worst <= tol, worst, wit_x, wit_g)
+    return CenterReport(worst <= 1e-10, worst, wit_x, wit_g)
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +443,14 @@ def _key_values(line: str) -> dict[str, str]:
     return dict(kv.split("=", 1) for kv in line.split())
 
 
+def _number(text: str) -> float:
+    """A finite float; nan and inf are malformed numbers in every text format."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return x
+
+
 def _split_fields(line: str, n: int) -> list[str]:
     parts = line.split(",")
     if len(parts) != n:
@@ -458,7 +466,7 @@ def germ_from_text(text: str) -> Germ:
     with _line_errors(lambda: f"germ header (line {no})"):
         fields = _key_values(head)
         scaling = Scaling(_parse_ints(fields["s"].replace(",", ";")))
-        eps = float(fields["eps"])
+        eps = _number(fields["eps"])
         base = Window(scaling, eps, _parse_ints(fields["base_lo"]), _parse_ints(fields["base_hi"]))
         active = Window(scaling, eps, _parse_ints(fields["act_lo"]), _parse_ints(fields["act_hi"]))
     vals = np.zeros((base.npoints, active.npoints), dtype=complex)
@@ -468,7 +476,7 @@ def germ_from_text(text: str) -> Germ:
             bidx, aidx, re, im = _split_fields(ln, 4)
             b = base.flat(_parse_ints(bidx))
             a = active.flat(_parse_ints(aidx))
-            vals[b, a] = float(re) + 1j * float(im)
+            vals[b, a] = _number(re) + 1j * _number(im)
             seen[b, a] = True
     if not seen.all():
         raise ValidationError("germ file is missing base/active pairs")
@@ -512,7 +520,7 @@ def field_from_text(text: str):
     with _line_errors(lambda: f"field header (line {no})"):
         fields = _key_values(head)
         scaling = Scaling(_parse_ints(fields["s"].replace(",", ";")))
-        window = Window(scaling, float(fields["eps"]),
+        window = Window(scaling, _number(fields["eps"]),
                         _parse_ints(fields["lo"]), _parse_ints(fields["hi"]))
     values = np.zeros(window.npoints)
     mask = np.zeros(window.npoints, dtype=bool)
@@ -520,6 +528,6 @@ def field_from_text(text: str):
         for no, ln in rows[1:]:
             iidx, val, flag = _split_fields(ln, 3)
             p = window.flat(_parse_ints(iidx))
-            values[p] = float(val)
+            values[p] = _number(val)
             mask[p] = bool(int(flag))
     return values, mask, window

@@ -43,7 +43,6 @@ class ExperimentConfig:
     seed: int = 0
     germ: str = "jet"              # jet | frozen | file
     germ_file: str | None = None
-    source_scale: float = 1.0
     time_extent: int | None = None
     allow_integer_orders: bool = False
 
@@ -131,9 +130,7 @@ def member_rng(seed: int, member: int) -> np.random.Generator:
 @dataclass(frozen=True)
 class PoissonResult:
     u: np.ndarray
-    window: Window
     residual_inf: float
-    zero_mode: float
 
 
 def solve_poisson(L: DiffOperator, f: np.ndarray, window: Window) -> PoissonResult:
@@ -152,7 +149,6 @@ def solve_poisson(L: DiffOperator, f: np.ndarray, window: Window) -> PoissonResu
         raise IllPosedSourceError(
             "operator symbol (near-)vanishes on the discrete frequency grid")
     fhat = np.fft.fftn(f)
-    zero_mode = abs(complex(fhat.ravel()[0])) / f.size
     with np.errstate(divide="ignore", invalid="ignore"):
         uhat = fhat / sym
     uhat.ravel()[0] = 0.0
@@ -161,16 +157,16 @@ def solve_poisson(L: DiffOperator, f: np.ndarray, window: Window) -> PoissonResu
         u = u.real.copy()
     applied, inner = apply_to_field(L, u, window)
     residual = float(np.max(np.abs(applied - f[inner.slice_in(window)])))
-    return PoissonResult(u, window, residual, zero_mode)
+    return PoissonResult(u, residual)
 
 
-def draw_source(rng: np.random.Generator, window: Window, scale: float = 1.0) -> np.ndarray:
+def draw_source(rng: np.random.Generator, window: Window) -> np.ndarray:
     """Gaussian source on the inner half of the window, mean-zero over its
     support (the outer margin suppresses periodization artifacts)."""
     margins = tuple(max(1, (h - l) // 4) for l, h in zip(window.lo, window.hi))
     support = window.shrink(lo_margin=margins, hi_margin=margins)
     f = np.zeros(window.shape)
-    block = rng.standard_normal(support.shape) * scale
+    block = rng.standard_normal(support.shape)
     block -= block.mean()
     f[support.slice_in(window)] = block
     return f
@@ -181,13 +177,13 @@ def _build_germ(cfg: ExperimentConfig, L: DiffOperator, window: Window,
     """Manufactured jet or frozen-coefficient germ from Poisson solutions;
     ``zero_initial`` subtracts the initial time slice first."""
     order = math.floor(cfg.eta)
-    u = solve_poisson(L, draw_source(rng, window, cfg.source_scale), window).u
+    u = solve_poisson(L, draw_source(rng, window), window).u
     if zero_initial:
         u = u - u[0][None, ...]
     if cfg.germ == "jet":
         return jet_germ(u, window, order)
-    v = solve_poisson(L, draw_source(rng, window, cfg.source_scale), window).u
-    a = solve_poisson(L, draw_source(rng, window, cfg.source_scale), window).u
+    v = solve_poisson(L, draw_source(rng, window), window).u
+    a = solve_poisson(L, draw_source(rng, window), window).u
     a = a / max(1.0, float(np.max(np.abs(a))))
     return frozen_coefficient_germ(u, v, a, window, order)
 
@@ -323,7 +319,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "eps": ",".join(_FMT % e for e in cfg.eps_list),
         "ensemble": cfg.ensemble, "seed": cfg.seed,
         "germ": cfg.germ, "germ_file": cfg.germ_file or "",
-        "source_scale": cfg.source_scale,
         "time_extent": "" if cfg.time_extent is None else cfg.time_extent,
         "allow_integer_orders": cfg.allow_integer_orders,
     }
@@ -385,7 +380,6 @@ def config_from_mapping(kv: dict) -> ExperimentConfig:
         seed=get("seed", int, 0),
         germ=germ,
         germ_file=get("germ_file", str),
-        source_scale=get("source_scale", float, 1.0),
         time_extent=get("time_extent", int),
         allow_integer_orders=get("allow_integer_orders",
                                  lambda v: str(v).lower() in ("1", "true", "yes"), "0"),

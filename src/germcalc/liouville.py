@@ -16,8 +16,10 @@ import numpy as np
 
 from .discrete_ops import (DiffOperator, _discrete_grid_scan, _refined_minima, apply_to_field,
                            dual_torus_bounds)
+from .errors import ValidationError
 from .geometry import MultiIndex, Scaling, multi_indices
-from .germs import Window, difference_coefficients, falling_factorial, jet_margins
+from .germs import (MAX_POINTS_PER_AXIS, Window, difference_coefficients, falling_factorial,
+                    jet_margins)
 
 _SVD_CUTOFF = 1e-10
 
@@ -50,8 +52,9 @@ class KernelBasis:
                 out = out + c * falling_factorial(offsets, steps, g)
         return out
 
-    def contains(self, coeffs, tol: float = 1e-8) -> bool:
-        """Whether a coefficient vector lies in the span of the basis."""
+    def contains(self, coeffs) -> bool:
+        """Whether a coefficient vector lies in the span of the basis, to a
+        relative residual of 1e-8."""
         v = np.asarray(coeffs, dtype=complex)
         nrm = np.linalg.norm(v)
         if nrm == 0:
@@ -59,7 +62,7 @@ class KernelBasis:
         if self.dimension == 0:
             return False
         sol, *_ = np.linalg.lstsq(self.vectors.T, v, rcond=None)
-        return bool(np.linalg.norm(self.vectors.T @ sol - v) <= tol * nrm)
+        return bool(np.linalg.norm(self.vectors.T @ sol - v) <= 1e-8 * nrm)
 
 
 def _determination_window(scaling: Scaling, eps: float, eta: float, m: int) -> Window:
@@ -87,7 +90,12 @@ def polynomial_kernel(L: DiffOperator, eps: float, eta: float) -> KernelBasis:
     if eta < 0:
         raise ValueError("degree cutoff must be >= 0")
     scaling = L.scaling
-    # the window first: its size cap rejects an eta whose monomials are too many
+    # the annihilation check pads the determination window by one point a side
+    points = max(jet_margins(scaling, eta)) + L.order + 4
+    if points > MAX_POINTS_PER_AXIS:
+        raise ValidationError(
+            f"degree cutoff --eta {eta:g} needs a determination window of {points} points "
+            f"on an axis with its check margin; at most {MAX_POINTS_PER_AXIS} are allowed")
     win = _determination_window(scaling, eps, eta, L.order)
     gammas = tuple(multi_indices(scaling, eta))
     fields = _monomial_fields(gammas, win)
@@ -159,14 +167,14 @@ class SymbolZero:
     residual_inf: float
 
 
-def symbol_zero_search(L: DiffOperator, eps: float = 1.0, resolution: int = 64,
-                       residual_halfwidth: int = 8) -> list[SymbolZero]:
+def symbol_zero_search(L: DiffOperator, eps: float = 1.0,
+                       resolution: int = 64) -> list[SymbolZero]:
     """Nonzero dual-torus points where the lattice symbol (near-)vanishes.
 
     Grid scan plus local refinement; refined points that slide into the
     origin neighborhood are the trivial zero and are not reported.  Each hit
     is certified by applying the operator to the corresponding complex
-    exponential on a window and recording the sup residual.
+    exponential on a window of half-width 8 and recording the sup residual.
     """
     bounds = dual_torus_bounds(L.scaling, eps)
     T, vals = _discrete_grid_scan(L, eps, resolution)
@@ -182,14 +190,13 @@ def symbol_zero_search(L: DiffOperator, eps: float = 1.0, resolution: int = 64,
         if any(np.all(np.abs(theta - np.asarray(z.theta)) <= cell) for z in records):
             continue
         records.append(SymbolZero(tuple(float(x) for x in theta), v,
-                                  _exponential_residual(L, eps, theta, residual_halfwidth)))
+                                  _exponential_residual(L, eps, theta)))
     records.sort(key=lambda z: z.theta)
     return records
 
 
-def _exponential_residual(L: DiffOperator, eps: float, theta: np.ndarray,
-                          halfwidth: int) -> float:
-    win = Window(L.scaling, eps, (-halfwidth,) * L.d, (halfwidth,) * L.d)
+def _exponential_residual(L: DiffOperator, eps: float, theta: np.ndarray) -> float:
+    win = Window(L.scaling, eps, (-8,) * L.d, (8,) * L.d)
     f = np.exp(1j * win.coords() @ np.asarray(theta, dtype=float)).reshape(win.shape)
     vals, _ = apply_to_field(L, f, win)
     return float(np.max(np.abs(vals)))

@@ -160,9 +160,9 @@ def build_default_family(scaling: Scaling, k: int) -> TestFunctionFamily:
     return _FAMILY_CACHE[key]
 
 
-def verify_family(family: TestFunctionFamily, slack: float = 1e-4) -> bool:
-    """Re-estimate every member's C^k norm; true when all are <= 1 + slack."""
-    return all(_derivative_sup_estimate(m, family.k) * abs(m.norm_const) <= 1 + slack
+def verify_family(family: TestFunctionFamily) -> bool:
+    """Re-estimate every member's C^k norm; true when all are <= 1 + 1e-4."""
+    return all(_derivative_sup_estimate(m, family.k) * abs(m.norm_const) <= 1 + 1e-4
                for m in family.members)
 
 
@@ -275,7 +275,7 @@ def _pair_problem(U: Germ, xf: int, yf: int, eta: float, alpha: float,
     Z = act.coords()[zmask] - ycoord[None, :]
     Phi = _poly_columns(Z, gammas)
     w = _weights(dxy, dyz[zmask], eta, alpha)
-    return Phi, r, w, gammas
+    return Phi, r, w
 
 
 def pair_minimax(U: Germ, xf: int, yf: int, eta: float, alpha: float,
@@ -288,7 +288,7 @@ def pair_minimax(U: Germ, xf: int, yf: int, eta: float, alpha: float,
     and the exact solve would only reshuffle it.  All other pairs are solved
     exactly.
     """
-    Phi, r, w, gammas = _pair_problem(U, xf, yf, eta, alpha, R)
+    Phi, r, w = _pair_problem(U, xf, yf, eta, alpha, R)
     if r.size:
         c_ls = weighted_lstsq(Phi, np.ascontiguousarray(r.real), w)
         if np.iscomplexobj(r) and np.any(r.imag):
@@ -296,9 +296,8 @@ def pair_minimax(U: Germ, xf: int, yf: int, eta: float, alpha: float,
         ub = achieved_value(Phi, r, w, c_ls)
         noise = 1e-12 * float(np.max(np.abs(U.values)))
         if ub * float(np.min(w)) <= noise:
-            return ub, c_ls, gammas
-    val, coeffs = solve_minimax(Phi, r, w)
-    return val, coeffs, gammas
+            return ub, c_ls
+    return solve_minimax(Phi, r, w)
 
 
 def seminorm_G_eta_alpha(U: Germ, eta: float, alpha: float,
@@ -344,18 +343,20 @@ def seminorm_G_eta_alpha(U: Germ, eta: float, alpha: float,
                                                         factor, noise)
     if bounds is None:
         bounds = _screen_bounds(U, Dxy, a_pos, pairs, eta, alpha, R, gammas, factor)
-    ub, lb, wmin, xs, ys = bounds
+    ub, wmin, xs, ys = bounds
     if ub.size == 0:
         return NormReport(name, 0.0, params, {}, window_descriptor(U))
+    # the exact solves run in descending bound order until no bound can beat
+    # the best value so far; of the quiet pairs only the largest bound is
+    # solved.  Complex data is solved with real and imaginary parts apart,
+    # which may land up to sqrt(2) above the least-squares fit, so its bound
+    # is widened by that
     quiet = ub * wmin <= noise
-    # pairs whose upper bound cannot reach the best certified lower bound
-    # cannot realize the max and are never solved exactly.  Complex data is
-    # solved with real and imaginary parts apart, which may land up to
-    # sqrt(2) above the least-squares fit, so its bound is widened by that
+    cand = np.nonzero(~quiet)[0]
+    if quiet.any():
+        cand = np.append(cand, np.nonzero(quiet)[0][int(np.argmax(ub[quiet]))])
+    order = cand[np.lexsort((ys[cand], xs[cand], -ub[cand]))]
     reach = ub * math.sqrt(2) if np.iscomplexobj(U.values) else ub
-    floor = float(np.max(lb)) * (1 - 1e-12)
-    keep = np.nonzero(~quiet & (reach >= floor))[0]
-    order = keep[np.lexsort((ys[keep], xs[keep], -ub[keep]))]
 
     base_idx = base.indices()
     best = -1.0
@@ -363,20 +364,11 @@ def seminorm_G_eta_alpha(U: Germ, eta: float, alpha: float,
     for i in order:
         if best >= 0 and reach[i] <= best * (1 + 1e-12) + 1e-300:
             break
-        val, coeffs, _ = pair_minimax(U, int(xs[i]), int(ys[i]), eta, alpha, R)
+        val, coeffs = pair_minimax(U, int(xs[i]), int(ys[i]), eta, alpha, R)
         if val > best:
             best = val
             bw = {"base_x": tuple(base_idx[xs[i]]), "base_y": tuple(base_idx[ys[i]]),
                   "coeffs": np.asarray(coeffs)}
-    if quiet.any():
-        top = np.nonzero(quiet)[0][int(np.argmax(ub[quiet]))]
-        if best < float(ub[top]):
-            val, coeffs, _ = pair_minimax(U, int(xs[top]), int(ys[top]), eta, alpha, R)
-            if val > best:
-                best = val
-                bw = {"base_x": tuple(base_idx[xs[top]]),
-                      "base_y": tuple(base_idx[ys[top]]),
-                      "coeffs": np.asarray(coeffs)}
     return NormReport(name, max(best, 0.0), params, bw, window_descriptor(U))
 
 
@@ -414,7 +406,7 @@ def _quiet_bounds(U: Germ, Dxy: np.ndarray, pairs: np.ndarray, eta: float, alpha
     ``(coef_x - coef_y)(psi(z) - psi(y)) + (e_x - e_y)(z) - (e_x - e_y)(y)``,
     at most ``2 (|coef_x - coef_y| sup|psi| + rho_x + rho_y)`` in modulus.
     Returns None unless that sits below ``noise`` for every pair; otherwise
-    (ub, lb, wmin, xs, ys) in the order of the per-y screen.
+    (ub, wmin, xs, ys) in the order of the per-y screen.
     """
     coef, psi, rho = factor
     ys, xs = np.nonzero(pairs.T)
@@ -428,15 +420,15 @@ def _quiet_bounds(U: Germ, Dxy: np.ndarray, pairs: np.ndarray, eta: float, alpha
     has_z = np.isfinite(near)
     xs, ys, near, spread = xs[has_z], ys[has_z], near[has_z], spread[has_z]
     wmin = _weights(Dxy[xs, ys], near, eta, alpha)
-    return spread / wmin, np.zeros(xs.size), wmin, xs, ys
+    return spread / wmin, wmin, xs, ys
 
 
 def _screen_bounds(U: Germ, Dxy: np.ndarray, a_pos: np.ndarray, pairs: np.ndarray,
                    eta: float, alpha: float, R: float | None, gammas: list[MultiIndex],
                    factor):
-    """Per-pair upper bounds, certified lower bounds and smallest weights.
+    """Per-pair upper bounds and smallest weights.
 
-    Returns (ub, lb, wmin, xs, ys), y-major; ``a_pos`` is the active column
+    Returns (ub, wmin, xs, ys), y-major; ``a_pos`` is the active column
     of each base point.  A factored table (``factor`` from
     ``_factor_modulo_polynomials``) fits the recentered common row psi once
     per y and distance class: the polynomial part of an increment lies in
@@ -445,7 +437,6 @@ def _screen_bounds(U: Germ, Dxy: np.ndarray, a_pos: np.ndarray, pairs: np.ndarra
     increment.
     """
     base = U.base
-    p = len(gammas)
     B = base.coords()
     A = U.active.coords()
     # the weights see x only through d(x, y): number the distinct distances
@@ -456,7 +447,7 @@ def _screen_bounds(U: Germ, Dxy: np.ndarray, a_pos: np.ndarray, pairs: np.ndarra
     in_use = np.zeros((base.npoints, dist.size), dtype=bool)
     in_use[np.nonzero(pairs)[1], dist_class[pairs]] = True
 
-    cand_ub, cand_lb, cand_wmin, cand_x, cand_y = [], [], [], [], []
+    cand_ub, cand_wmin, cand_x, cand_y = [], [], [], []
     for yf in range(base.npoints):
         dyz = U.distances[yf]
         zmask = _within(dyz, R)
@@ -465,8 +456,7 @@ def _screen_bounds(U: Germ, Dxy: np.ndarray, a_pos: np.ndarray, pairs: np.ndarra
             continue
         zs = np.nonzero(zmask)[0]
         of_x = (np.cumsum(in_use[yf]) - 1)[dist_class[xs, yf]]   # row of Wc for each x
-        dz = dyz[zs]
-        Wc = _weights(dist[in_use[yf]][:, None], dz[None, :], eta, alpha)
+        Wc = _weights(dist[in_use[yf]][:, None], dyz[zs][None, :], eta, alpha)
         wmin = np.min(Wc, axis=1)
         Phi = _poly_columns(A[zs] - B[yf][None, :], gammas)
         if factor is None:
@@ -476,22 +466,14 @@ def _screen_bounds(U: Germ, Dxy: np.ndarray, a_pos: np.ndarray, pairs: np.ndarra
             fit = _fit_bound(Phi, (psi[zs] - psi[a_pos[yf]])[None, :], Wc, slice(None))
             ub = (np.abs(coef[xs] - coef[yf]) * fit[of_x] +
                   2 * (rho[xs] + rho[yf]) / wmin[of_x])
-        if p == 0 and factor is None:
-            lb = ub  # no free coefficients: the bound is the exact value
-        else:
-            # the dual bound needs the increments only at its p+1 points
-            S = np.argsort(dz, kind="stable")[:p + 1]
-            lb = _dual_lower_bound(Phi[S], _increments(U.values, xs, yf, zs[S], a_pos[yf]),
-                                   Wc[:, S], of_x)
         cand_ub.append(ub)
-        cand_lb.append(lb)
         cand_wmin.append(wmin[of_x])
         cand_x.append(xs)
         cand_y.append(np.full(xs.size, yf))
     if not cand_ub:
         empty = np.zeros(0)
-        return empty, empty, empty, empty.astype(int), empty.astype(int)
-    return tuple(np.concatenate(c) for c in (cand_ub, cand_lb, cand_wmin, cand_x, cand_y))
+        return empty, empty, empty.astype(int), empty.astype(int)
+    return tuple(np.concatenate(c) for c in (cand_ub, cand_wmin, cand_x, cand_y))
 
 
 def _increments(V: np.ndarray, xs: np.ndarray, yf: int, cols: np.ndarray,
@@ -524,28 +506,6 @@ def _fit_bound(Phi: np.ndarray, data: np.ndarray, Wc: np.ndarray, of_row) -> np.
     C = np.linalg.solve(Ac[of_row], bvec[..., None])[..., 0]
     res = data - C @ Phi.T
     return np.max(np.abs(res) / Wc[of_row], axis=1)
-
-
-def _dual_lower_bound(Phi_S: np.ndarray, r_S: np.ndarray, W_S: np.ndarray,
-                      of_x: np.ndarray) -> np.ndarray:
-    """Certified per-pair lower bounds from one shared reference subset.
-
-    Any p+1 points with a null vector of the design columns give, by weak
-    duality, ``|y . r| / sum(|y| w) <= minimax``.  The subset nearest the
-    pinned point (smallest weights) is shared across all x for this y, so
-    the bound vectorizes over pairs: ``r_S`` holds the increments there and
-    row ``of_x[i]`` of ``W_S`` the weights of pair i.
-    """
-    p = Phi_S.shape[1]
-    if Phi_S.shape[0] < p + 1:
-        return np.zeros(r_S.shape[0])
-    _, sv, Vh = np.linalg.svd(Phi_S.T, full_matrices=True)
-    if sv.size < p or (p and sv[-1] <= 1e-13 * max(sv[0], 1e-300)):
-        return np.zeros(r_S.shape[0])
-    y = Vh[-1]
-    den = (W_S @ np.abs(y))[of_x]
-    num = np.abs(r_S @ y)
-    return np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +611,7 @@ def reevaluate_report(report: NormReport, U: Germ) -> float:
     if report.name.startswith("G_eta_alpha"):
         xf = U.base.flat(w["base_x"])
         yf = U.base.flat(w["base_y"])
-        val, _, _ = pair_minimax(U, xf, yf, report.params["eta"],
+        val, _ = pair_minimax(U, xf, yf, report.params["eta"],
                                  report.params["alpha"], report.params.get("R"))
         return val
     if report.name.startswith("G_eta"):

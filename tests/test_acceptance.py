@@ -189,7 +189,7 @@ def test_criterion_07_minimax_oracle_equivalence():
                 U = Germ(w, w, rng.standard_normal((25, 25)))
                 eta, alpha = (1.5, 0.5) if k % 4 == 1 else (2.5, 1.2)  # 3 or 6 coeffs
             xf, yf = rng.choice(U.base.npoints, size=2, replace=False)
-            Phi, r, wts, _ = _pair_problem(U, int(xf), int(yf), eta, alpha, None)
+            Phi, r, wts = _pair_problem(U, int(xf), int(yf), eta, alpha, None)
             assert Phi.shape[0] <= 40 and Phi.shape[1] + 1 <= 6
             cases.append((Phi, np.real(r), wts))
         for Phi, r, wts in cases:

@@ -61,6 +61,22 @@ def test_norm_zero_germ(tmp_path, capsys):
     assert rec["value"] == 0.0 and rec["name"] == "G_eta"
 
 
+def test_norm_text_witness_is_json(tmp_path, capsys):
+    # the text witness is the object --json carries, with no numpy reprs
+    rng = np.random.default_rng(8)
+    w = box(Scaling((1, 1)), 1.0, 2)
+    path = tmp_path / "random.germ"
+    save_germ(Germ(w, w, rng.standard_normal((w.npoints, w.npoints))), path)
+    kinds = {"G-eta": ("--eta", "1.5"), "G-eta-alpha": ("--eta", "1.5", "--alpha", "0.5"),
+             "G-gamma": ("--gamma", "-0.5"), "sup-below": ("--R", "1.5")}
+    for kind, extra in kinds.items():
+        argv = ("norm", "--kind", kind, "--germ", str(path)) + extra
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and "np." not in out and "array(" not in out, kind
+        witness = out.splitlines()[1].removeprefix("witness: ")
+        assert json.loads(witness) == json.loads(run_cli(capsys, *argv, "--json")[1])["witness"]
+
+
 def test_norm_missing_file_exits_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, "norm", "--kind", "G-eta", "--eta", "1.5",
                            "--germ", str(tmp_path / "missing.germ"))
@@ -180,8 +196,8 @@ def test_probe_window_too_large_exits_one(capsys):
      "--holder-const"),
     (("probe", "--scaling", "1", "--window", "4", "--eps", "inf"), "grid scales"),
     (("probe", "--scaling", "1", "--window", "4", "--eps", "nan"), "grid scales"),
-    (("liouville", "--preset", "laplacian", "--eta", "40"), "33 points"),
-    (("liouville", "--preset", "laplacian", "--eta", "1e9"), "33 points"),
+    (("liouville", "--preset", "laplacian", "--eta", "40"), "--eta"),
+    (("liouville", "--preset", "laplacian", "--eta", "1e9"), "--eta"),
     # rejected before the scan grid is allocated
     (("ellipticity", "--preset", "laplacian", "--resolution", "100000000"), "scan points"),
     (("liouville", "--preset", "laplacian", "--eta", "1", "--zero-search",
@@ -289,6 +305,9 @@ def test_malformed_germ_file_exits_one(tmp_path, capsys):
                       "line 2", "s="),
         "empty.germ": ("", "no header line", ""),
         "short-row.germ": ("# germcalc germ v1\n" + head + "0,0,1\n", "line 3", "got 3"),
+        "nan.germ": ("# germcalc germ v1\n" + head + "0,0,nan,0\n", "line 3", "'nan'"),
+        "inf-eps.germ": ("# germcalc germ v1\n" + head.replace("eps=1", "eps=inf") + "0,0,1,0\n",
+                         "line 2", "'inf'"),
     }
     for name, (text, where, what) in cases.items():
         path = tmp_path / name
@@ -308,6 +327,8 @@ def test_malformed_operator_file_exits_one(tmp_path, capsys):
         "no-gamma.op": (head + term.replace("gamma=2,0 ", ""), "line 3", "gamma="),
         "bad-number.op": (head + term.replace("re=1.0", "re=x"), "line 3", "x"),
         "short-gamma.op": (head + term.replace("gamma=2,0", "gamma=2"), "line 3", ""),
+        "nan.op": (head + term.replace("re=1.0", "re=nan"), "line 3", "'nan'"),
+        "inf.op": (head + term.replace("re=1.0", "re=inf"), "line 3", "'inf'"),
     }
     for name, (text, where, what) in cases.items():
         path = tmp_path / name
@@ -323,6 +344,9 @@ def test_malformed_field_file_exits_one(tmp_path, capsys):
         "no-s.field": (head.replace("s=1 ", "") + "0,1.0,1\n1,2.0,1\n", "line 2", "s="),
         "short-row.field": (head + "0,1.0,1\n1,2.0\n", "line 4", "got 2"),
         "bad-index.field": (head + "0,1.0,1\n7,2.0,1\n", "line 4", ""),
+        "nan.field": (head + "0,nan,1\n1,2.0,1\n", "line 3", "'nan'"),
+        "inf-eps.field": (head.replace("eps=1", "eps=inf") + "0,1.0,1\n1,2.0,1\n",
+                          "line 2", "'inf'"),
     }
     for name, (text, where, what) in cases.items():
         path = tmp_path / name

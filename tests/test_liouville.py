@@ -32,14 +32,14 @@ def test_kernel_harmonic_quadratics():
     gammas = list(basis.gammas)
     v_cross = np.zeros(len(gammas))
     v_cross[gammas.index((1, 1))] = 1.0
-    assert basis.contains(v_cross, tol=1e-8)
+    assert basis.contains(v_cross)
     v_diff = np.zeros(len(gammas))
     v_diff[gammas.index((2, 0))] = 1.0
     v_diff[gammas.index((0, 2))] = -1.0
-    assert basis.contains(v_diff, tol=1e-8)
+    assert basis.contains(v_diff)
     v_bad = np.zeros(len(gammas))
     v_bad[gammas.index((2, 0))] = 1.0
-    assert not basis.contains(v_bad, tol=1e-8)
+    assert not basis.contains(v_bad)
 
 
 def test_kernel_heat_caloric_polynomial():
@@ -51,7 +51,7 @@ def test_kernel_heat_caloric_polynomial():
     v = np.zeros(len(gammas))
     v[gammas.index((1, 0))] = 2.0
     v[gammas.index((0, 2))] = 1.0
-    assert basis.contains(v, tol=1e-8)
+    assert basis.contains(v)
 
 
 def _continuum_kernel_dim(L, eta):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from germcalc import (DistGerm, Germ, ScaleMap, Scaling, build_default_family,
-                      frozen_coefficient_germ, jet_germ, lambda_grid, mcshane_extend,
-                      norm_G_eta, reevaluate_report, scale_germ, seminorm_G_eta_alpha,
-                      seminorm_G_gamma, sup_below)
+from germcalc import (DistGerm, ExperimentConfig, Germ, ScaleMap, Scaling,
+                      build_default_family, frozen_coefficient_germ, jet_germ, lambda_grid,
+                      mcshane_extend, norm_G_eta, norms, reevaluate_report, run_probe,
+                      scale_germ, seminorm_G_eta_alpha, seminorm_G_gamma, sup_below)
 from germcalc.errors import (DomainTooSmallError, InputNotHolderError,
                              UnderdeterminedFitError)
 from germcalc.germs import Window
@@ -81,8 +81,8 @@ def test_eta_alpha_single_pair_grid_oracle(rng):
     w = Window(s, 1.0, (-3,), (3,))
     U = Germ(w, w, rng.standard_normal((7, 7)))
     xf, yf = 1, 4
-    val, coeffs, _ = pair_minimax(U, xf, yf, 1.5, 0.5)
-    Phi, r, wts, _ = _pair_problem(U, xf, yf, 1.5, 0.5, None)
+    val, coeffs = pair_minimax(U, xf, yf, 1.5, 0.5)
+    Phi, r, wts = _pair_problem(U, xf, yf, 1.5, 0.5, None)
     v_grid, _, step = grid_minimax(Phi, np.real(r), wts)
     lip = float(np.max(np.sum(np.abs(Phi), axis=1) / wts)) if Phi.size else 0.0
     assert val <= v_grid + 1e-9
@@ -96,7 +96,7 @@ def test_eta_alpha_methods_agree(rng):
     U = random_germ(rng, s, half=2)
     a = seminorm_G_eta_alpha(U, 1.5, 0.5)
     D = s.pairwise_distance(U.base.coords(), U.base.coords())
-    b = max(lp_minimax(*_pair_problem(U, int(xf), int(yf), 1.5, 0.5, None)[:3])[0]
+    b = max(lp_minimax(*_pair_problem(U, int(xf), int(yf), 1.5, 0.5, None))[0]
             for xf, yf in zip(*np.nonzero(D > 0)))
     assert a.value == pytest.approx(b, rel=1e-8)
 
@@ -353,7 +353,7 @@ def test_eta_alpha_full_brute_force_oracle(rng):
             for yf in range(w.npoints):
                 if xf == yf:
                     continue
-                Phi, r, wts, _ = _pair_problem(U, xf, yf, eta, alpha, None)
+                Phi, r, wts = _pair_problem(U, xf, yf, eta, alpha, None)
                 v, _, step = grid_minimax(Phi, np.real(r), wts)
                 if v > worst:
                     worst = v
@@ -431,6 +431,21 @@ def test_eta_alpha_screen_matches_pair_oracle(case, kind, complex_values, inner_
     assert reevaluate_report(rep, U) == rep.value
 
 
+# exact solves (pair_minimax calls) per member at sub-seeds 0-3 of the
+# benchmark's 2D and (2,1) frozen probes, counted at commit 4afd682, where
+# certified lower bounds still filtered the pairs ahead of the ordered pass
+@pytest.mark.parametrize("scaling, operator, counted", [((1, 1), "laplacian", (6, 11, 92, 4)),
+                                                        ((2, 1), "heat", (1, 1, 1, 1))])
+def test_exact_solve_count_pinned(monkeypatch, scaling, operator, counted):
+    calls = []
+    solve = norms.pair_minimax
+    monkeypatch.setattr(norms, "pair_minimax", lambda *a, **k: calls.append(a) or solve(*a, **k))
+    for seed, bound in enumerate(counted):
+        calls.clear()
+        run_probe(ExperimentConfig(Scaling(scaling), operator=operator, germ="frozen", seed=seed))
+        assert len(calls) <= bound, seed
+
+
 @pytest.mark.parametrize("case", [((1,), (-6,), (6,), 1.5, None),
                                   ((1,), (-6,), (6,), 2.5, 4.5),
                                   ((1, 1), (-2, -1), (2, 1), 1.5, None),
@@ -457,10 +472,10 @@ def test_quiet_bounds_dominate_exact_values(case):
     assert 0.9 * noise <= spread <= noise
     Dxy = s.pairwise_distance(w.coords(), w.coords())
     pairs = (Dxy > 0) & (Dxy < (R or np.inf))
-    ub, _, _, xs, ys = _quiet_bounds(U, Dxy, pairs, eta, alpha, R, factor, noise)
+    ub, _, xs, ys = _quiet_bounds(U, Dxy, pairs, eta, alpha, R, factor, noise)
     assert xs.size > 0
     exact_pert = Germ(w, w, U.values - poly)  # exact: Sterbenz
     for bound, xf, yf in zip(ub, xs, ys):
-        Phi, r, wts, _ = _pair_problem(exact_pert, int(xf), int(yf), eta, alpha, R)
+        Phi, r, wts = _pair_problem(exact_pert, int(xf), int(yf), eta, alpha, R)
         scale = float(np.max(np.abs(r)))
         assert bound >= lp_minimax(Phi, r / scale, wts)[0] * scale * (1 - 1e-6)
