@@ -95,7 +95,7 @@ def polynomial_kernel(L: DiffOperator, eps: float, eta: float) -> KernelBasis:
     if points > MAX_POINTS_PER_AXIS:
         raise ValidationError(
             f"degree cutoff --eta {eta:g} needs a determination window of {points} points "
-            f"on an axis with its check margin; at most {MAX_POINTS_PER_AXIS} are allowed")
+            f"on an axis with its check margin; at most {MAX_POINTS_PER_AXIS} points are allowed")
     win = _determination_window(scaling, eps, eta, L.order)
     gammas = tuple(multi_indices(scaling, eta))
     fields = _monomial_fields(gammas, win)

@@ -196,8 +196,8 @@ def test_probe_window_too_large_exits_one(capsys):
      "--holder-const"),
     (("probe", "--scaling", "1", "--window", "4", "--eps", "inf"), "grid scales"),
     (("probe", "--scaling", "1", "--window", "4", "--eps", "nan"), "grid scales"),
-    (("liouville", "--preset", "laplacian", "--eta", "40"), "--eta"),
-    (("liouville", "--preset", "laplacian", "--eta", "1e9"), "--eta"),
+    (("liouville", "--preset", "laplacian", "--eta", "40"), "33 points"),
+    (("liouville", "--preset", "laplacian", "--eta", "1e9"), "33 points"),
     # rejected before the scan grid is allocated
     (("ellipticity", "--preset", "laplacian", "--resolution", "100000000"), "scan points"),
     (("liouville", "--preset", "laplacian", "--eta", "1", "--zero-search",
@@ -208,6 +208,13 @@ def test_malformed_number_flags_exit_one(tmp_path, capsys, argv, what):
     code, out, err = run_cli(capsys, *(files.get(a, a) for a in argv))
     assert code == 1 and out == ""
     assert err.startswith("germcalc") and err.count("\n") == 1 and what in err
+
+
+def test_kernel_window_cap_names_eta(capsys):
+    # the determination window over the cap is blamed on the degree cutoff
+    for eta in ("40", "1e9"):
+        code, _, err = run_cli(capsys, "liouville", "--preset", "laplacian", "--eta", eta)
+        assert code == 1 and f"degree cutoff --eta {float(eta):g} " in err
 
 
 def test_malformed_scaling_exits_one(capsys):
