@@ -17,7 +17,7 @@ import numpy as np
 from . import harness
 from .coeff_bounds import construct_weights
 from .discrete_ops import (PRESETS, continuum_symbol, discrete_symbol,
-                           is_discretely_elliptic, load_operator, preset_operator)
+                           is_discretely_elliptic, resolve_operator)
 from .errors import GermCalcError, ValidationError
 from .germs import field_from_text, field_to_text, load_germ
 from .liouville import kernel_basis_to_text, polynomial_kernel, symbol_zero_search
@@ -45,14 +45,6 @@ def _positive_int(text):
     if n < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return n
-
-
-def _resolve_operator(args):
-    if args.operator_file:
-        return load_operator(args.operator_file)
-    if args.preset:
-        return preset_operator(args.preset, d=args.dim)
-    raise ValidationError("need --preset or --operator-file")
 
 
 def _float_list(text):
@@ -192,7 +184,7 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_symbol(args) -> int:
-    L = _resolve_operator(args)
+    L = resolve_operator(args.operator_file, args.preset, args.dim)
     out = {}
     if args.theta is None and args.xi is None:
         raise ValidationError("need --theta (lattice) and/or --xi (continuum)")
@@ -214,7 +206,7 @@ def _cmd_symbol(args) -> int:
 
 
 def _cmd_ellipticity(args) -> int:
-    L = _resolve_operator(args)
+    L = resolve_operator(args.operator_file, args.preset, args.dim)
     rep = is_discretely_elliptic(L, eps=args.eps, resolution=args.resolution)
     if args.json:
         print(json.dumps({
@@ -237,7 +229,7 @@ def _cmd_ellipticity(args) -> int:
 
 
 def _cmd_liouville(args) -> int:
-    L = _resolve_operator(args)
+    L = resolve_operator(args.operator_file, args.preset, args.dim)
     basis = polynomial_kernel(L, args.eps, args.eta)
     zeros = (symbol_zero_search(L, args.eps, args.resolution)
              if args.zero_search else None)

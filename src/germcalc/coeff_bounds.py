@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateProbeError, ValidationError, WindowTooSmallError
+from .errors import DegenerateProbeError, ValidationError, VerificationError, WindowTooSmallError
 from .geometry import MultiIndex, Scaling, multi_indices
 from .germs import Germ
 
@@ -205,7 +205,7 @@ def construct_weights(scaling: Scaling, eta: float, delta: float) -> WeightSyste
     system = WeightSystem(scaling, eta, delta, tuple(A), kappa, eps_level, rho)
     ok, worst = system.verify()
     if not ok:
-        raise AssertionError(f"constructed weights fail their own invariant (worst {worst})")
+        raise VerificationError(f"constructed weights fail their own invariant (worst {worst})")
     return system
 
 

@@ -287,20 +287,6 @@ def continuum_symbol_scan(L: DiffOperator, samples: int = 1000):
 MAX_SCAN_POINTS = 2 ** 20
 
 
-def _discrete_grid_scan(L: DiffOperator, eps: float, resolution: int):
-    """Dual-torus grid, ``resolution`` points per axis, and |lattice symbol| there."""
-    if resolution < 8:
-        raise ValidationError("resolution must be at least 8 per axis")
-    if resolution ** L.d > MAX_SCAN_POINTS:
-        raise ValidationError(f"resolution {resolution} gives {resolution ** L.d} scan points "
-                              f"in {L.d}D; at most {MAX_SCAN_POINTS} are allowed")
-    bounds = dual_torus_bounds(L.scaling, eps)
-    axes = [(-b + 2 * b * np.arange(resolution) / resolution) for b in bounds]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    T = np.stack([m.ravel() for m in mesh], axis=1)
-    return T, np.abs(discrete_symbol(L, eps, T))
-
-
 def _refined_minima(L: DiffOperator, eps: float, starts):
     """Nelder-Mead minimisations of |lattice symbol|^2 inside the dual torus,
     one per start, run only as the caller asks for them; yields
@@ -320,20 +306,54 @@ def _refined_minima(L: DiffOperator, eps: float, starts):
         yield math.sqrt(max(fun, 0.0)), np.asarray(x)
 
 
+def lattice_symbol_zeros(L: DiffOperator, eps: float, resolution: int):
+    """Nonzero dual-torus zeros of the lattice symbol, refined one at a time
+    as the caller asks for them.
+
+    The symbol always vanishes at the origin, so a box of ``max(1,
+    resolution/16)`` cells per axis around it is left out of the grid.  The
+    16 lowest grid values outside the box, in ``np.argsort`` order, start the
+    refinements; a minimiser in the box is the trivial zero and is dropped.
+    Yields ``(|symbol|, theta)`` for each minimiser with ``|symbol| <= 1e-12
+    * max(1, coeff_scale * eps**-m)``, in start order, then ``(least, None)``:
+    the least |symbol| seen outside the box, on the grid or at a minimiser.
+    """
+    if resolution < 8:
+        raise ValidationError("resolution must be at least 8 per axis")
+    if resolution ** L.d > MAX_SCAN_POINTS:
+        raise ValidationError(f"resolution {resolution} gives {resolution ** L.d} scan points "
+                              f"in {L.d}D; at most {MAX_SCAN_POINTS} are allowed")
+    bounds = dual_torus_bounds(L.scaling, eps)
+    axes = [(-b + 2 * b * np.arange(resolution) / resolution) for b in bounds]
+    T = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, L.d)
+    vals = np.abs(discrete_symbol(L, eps, T))
+    # per-axis half-width of the box around the origin
+    near = [max(1.0, resolution / 16) * (2 * b / resolution) + 1e-15 for b in bounds]
+    outside = ~np.all(np.abs(T) <= near, axis=1)
+    T, vals = T[outside], vals[outside]
+    least = float(np.min(vals))
+    tol = 1e-12 * max(1.0, L.coeff_scale() * eps ** (-L.order))
+    for v, x in _refined_minima(L, eps, T[np.argsort(vals)[:16]]):
+        theta = tuple(float(t) for t in x)
+        if all(abs(t) <= r for t, r in zip(theta, near)):
+            continue
+        least = min(least, v)
+        if v <= tol:
+            yield v, theta
+    yield least, None
+
+
 def is_discretely_elliptic(L: DiffOperator, eps: float = 1.0,
                            resolution: int = 64) -> EllipticityReport:
     """Classify by scanning both symbols.
 
-    The lattice symbol is scanned on a dual-torus grid excluding a
-    neighborhood of the origin (the symbol always vanishes there); candidates are
-    refined and accepted as genuine zeros only away from the origin.  The
-    continuum symbol is scanned on a direction sphere.  The combined verdict
-    requires both scans clean.
+    The lattice verdict is "not-elliptic" at the first zero of
+    ``lattice_symbol_zeros``, the witness; without one, the least |symbol|
+    seen outside the origin box is the margin.  The continuum symbol is
+    scanned on a direction sphere.  The combined verdict needs both clean.
     """
-    T, vals = _discrete_grid_scan(L, eps, resolution)
-    scale = L.coeff_scale() * eps ** (-L.order)
-    zero_tol = 1e-12 * max(1.0, scale)
-    margin_tol = 1e-6 * max(1.0, scale)
+    d_min, d_wit = next(lattice_symbol_zeros(L, eps, resolution))
+    margin_tol = 1e-6 * max(1.0, L.coeff_scale() * eps ** (-L.order))
 
     c_min, c_wit = continuum_symbol_scan(L, samples=max(1000, resolution ** 2 // 4))
     c_scale = L.coeff_scale()
@@ -344,24 +364,6 @@ def is_discretely_elliptic(L: DiffOperator, eps: float = 1.0,
     else:
         c_verdict = "inconclusive"
 
-    excl = max(1.0, resolution / 16)
-    # per-axis half-width of the excluded neighbourhood of the origin
-    near = [excl * (2 * b / resolution) + 1e-15 for b in dual_torus_bounds(L.scaling, eps)]
-    keep = ~np.all(np.abs(T) <= near, axis=1)
-    kept_vals = vals[keep]
-    kept_T = T[keep]
-    order = np.argsort(kept_vals)
-    d_wit = None
-    d_min = float(kept_vals[order[0]]) if order.size else math.inf
-    for v, x in _refined_minima(L, eps, kept_T[order[:8]]):
-        theta = tuple(float(t) for t in x)
-        if all(abs(t) <= r for t, r in zip(theta, near)):
-            continue
-        if v <= zero_tol:
-            d_wit = theta
-            d_min = v
-            break
-        d_min = min(d_min, v)
     if d_wit is not None:
         d_verdict = "not-elliptic"
     elif d_min > margin_tol:
@@ -512,3 +514,12 @@ def operator_from_text(text: str) -> DiffOperator:
 def load_operator(path) -> DiffOperator:
     with open(path, encoding="utf-8") as fh:
         return operator_from_text(fh.read())
+
+
+def resolve_operator(operator_file, preset, d: int) -> DiffOperator:
+    """The operator in ``operator_file`` when one is named, else the preset in ``d`` dimensions."""
+    if operator_file:
+        return load_operator(operator_file)
+    if preset:
+        return preset_operator(preset, d=d)
+    raise ValidationError("need --preset or --operator-file")

@@ -43,3 +43,7 @@ class DegenerateProbeError(GermCalcError, ValueError):
 
 class ValidationError(GermCalcError, ValueError):
     """Invalid configuration or command-line input."""
+
+
+class VerificationError(GermCalcError):
+    """A computed result fails its own check, beyond its round-off tolerance."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .discrete_ops import (DiffOperator, apply_to_germ, fft_symbol_grid,
-                           apply_to_field, load_operator, preset_operator)
+                           apply_to_field, resolve_operator)
 from .errors import IllPosedSourceError, ValidationError
 from .geometry import Scaling
 from .germs import (MAX_POINTS_PER_AXIS, Germ, Window, frozen_coefficient_germ, jet_germ,
@@ -46,13 +46,8 @@ class ExperimentConfig:
     time_extent: int | None = None
     allow_integer_orders: bool = False
 
-    def load_operator(self) -> DiffOperator:
-        if self.operator_file:
-            return load_operator(self.operator_file)
-        return preset_operator(self.operator, d=self.scaling.d)
-
     def validate(self) -> DiffOperator:
-        L = self.load_operator()
+        L = resolve_operator(self.operator_file, self.operator, self.scaling.d)
         if L.scaling != self.scaling:
             raise ValidationError(
                 f"operator scaling {L.scaling.s} does not match config scaling {self.scaling.s}")
@@ -299,10 +294,9 @@ def summarize(reports: list[RatioReport]) -> dict:
     return out
 
 
-def summary_to_json(reports: list[RatioReport], cfg: ExperimentConfig | None = None) -> str:
+def summary_to_json(reports: list[RatioReport], cfg: ExperimentConfig) -> str:
     payload = summarize(reports)
-    if cfg is not None:
-        payload["config"] = config_to_dict(cfg)
+    payload["config"] = config_to_dict(cfg)
     return json.dumps(payload, sort_keys=True)
 
 

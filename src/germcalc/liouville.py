@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete_ops import (DiffOperator, _discrete_grid_scan, _refined_minima, apply_to_field,
-                           dual_torus_bounds)
-from .errors import ValidationError
+from .discrete_ops import DiffOperator, apply_to_field, dual_torus_bounds, lattice_symbol_zeros
+from .errors import ValidationError, VerificationError
 from .geometry import MultiIndex, Scaling, multi_indices
 from .germs import (MAX_POINTS_PER_AXIS, Window, difference_coefficients, falling_factorial,
                     jet_margins)
@@ -65,11 +64,14 @@ class KernelBasis:
         return bool(np.linalg.norm(self.vectors.T @ sol - v) <= 1e-8 * nrm)
 
 
-def _determination_window(scaling: Scaling, eps: float, eta: float, m: int) -> Window:
-    # a polynomial of weighted degree <= eta is pinned down by its jet stencil
-    # plus one point per axis, with room for the operator stencil
-    return Window(scaling, eps, (0,) * scaling.d,
-                  tuple(r + m + 1 for r in jet_margins(scaling, eta)))
+def _determination_hi(L: DiffOperator, eta: float) -> tuple[int, ...]:
+    # Upper corner of the determination window (the lower one is the origin).
+    # A polynomial of weighted degree <= eta is pinned down by its jet stencil
+    # plus one point per axis; the operator stencil consumes f_j + b_j points,
+    # and the room left for it, at least m + 1, keeps them all.
+    fwd, bwd = L.stencil_reach()
+    return tuple(r + max(L.order + 1, f + b)
+                 for r, f, b in zip(jet_margins(L.scaling, eta), fwd, bwd))
 
 
 def _monomial_fields(gammas, win: Window) -> list[np.ndarray]:
@@ -90,13 +92,14 @@ def polynomial_kernel(L: DiffOperator, eps: float, eta: float) -> KernelBasis:
     if eta < 0:
         raise ValueError("degree cutoff must be >= 0")
     scaling = L.scaling
+    hi = _determination_hi(L, eta)
     # the annihilation check pads the determination window by one point a side
-    points = max(jet_margins(scaling, eta)) + L.order + 4
+    points = max(hi) + 3
     if points > MAX_POINTS_PER_AXIS:
         raise ValidationError(
             f"degree cutoff --eta {eta:g} needs a determination window of {points} points "
             f"on an axis with its check margin; at most {MAX_POINTS_PER_AXIS} points are allowed")
-    win = _determination_window(scaling, eps, eta, L.order)
+    win = Window(scaling, eps, (0,) * scaling.d, hi)
     gammas = tuple(multi_indices(scaling, eta))
     fields = _monomial_fields(gammas, win)
     cols = []
@@ -125,17 +128,18 @@ def polynomial_kernel(L: DiffOperator, eps: float, eta: float) -> KernelBasis:
 
 def _verify_annihilated(basis: KernelBasis, tol: float = 1e-10) -> None:
     L = basis.operator
-    win = _determination_window(L.scaling, basis.eps, basis.eta, L.order)
-    test = Window(L.scaling, basis.eps,
-                  tuple(l - 1 for l in win.lo), tuple(h + 1 for h in win.hi))
+    test = Window(L.scaling, basis.eps, (-1,) * L.d,
+                  tuple(h + 1 for h in _determination_hi(L, basis.eta)))
     for i in range(basis.dimension):
         f = basis.evaluate(i, test.coords()).reshape(test.shape)
         if np.all(f.imag == 0):
             f = f.real
         vals, _ = apply_to_field(L, f, test)
         scale = max(1.0, float(np.max(np.abs(f))))
-        if float(np.max(np.abs(vals))) > tol * scale:
-            raise AssertionError("kernel element is not annihilated on the test window")
+        resid = float(np.max(np.abs(vals)))
+        if resid > tol * scale:
+            raise VerificationError(f"kernel element {i} is not annihilated on the test window "
+                                    f"(residual {resid / scale:.2g} of its scale > {tol:g})")
 
 
 def rigidity_matrix(scaling: Scaling, eps: float, eta: float) -> np.ndarray:
@@ -169,33 +173,24 @@ class SymbolZero:
 
 def symbol_zero_search(L: DiffOperator, eps: float = 1.0,
                        resolution: int = 64) -> list[SymbolZero]:
-    """Nonzero dual-torus points where the lattice symbol (near-)vanishes.
+    """Nonzero dual-torus points where the lattice symbol vanishes.
 
-    Grid scan plus local refinement; refined points that slide into the
-    origin neighborhood are the trivial zero and are not reported.  Each hit
-    is certified by applying the operator to the corresponding complex
-    exponential on a window of half-width 8 and recording the sup residual.
+    Every zero of ``lattice_symbol_zeros``, one per grid cell, each certified
+    by applying the operator to the corresponding complex exponential on a
+    window of half-width 8 and recording the sup residual; sorted by theta.
     """
-    bounds = dual_torus_bounds(L.scaling, eps)
-    T, vals = _discrete_grid_scan(L, eps, resolution)
-    scale = max(1.0, L.coeff_scale() * eps ** (-L.order))
-    tol = 1e-10 * scale
-    cell = np.array([2 * b / resolution for b in bounds])
+    cell = np.array([2 * b / resolution for b in dual_torus_bounds(L.scaling, eps)])
     records: list[SymbolZero] = []
-    for v, theta in _refined_minima(L, eps, T[np.argsort(vals)[:16]]):
-        if v > tol:
+    for v, theta in lattice_symbol_zeros(L, eps, resolution):
+        if theta is None or any(np.all(np.abs(np.subtract(theta, z.theta)) <= cell)
+                                for z in records):
             continue
-        if np.all(np.abs(theta) <= 1.5 * cell):
-            continue  # the trivial zero at the origin
-        if any(np.all(np.abs(theta - np.asarray(z.theta)) <= cell) for z in records):
-            continue
-        records.append(SymbolZero(tuple(float(x) for x in theta), v,
-                                  _exponential_residual(L, eps, theta)))
+        records.append(SymbolZero(theta, v, _exponential_residual(L, eps, theta)))
     records.sort(key=lambda z: z.theta)
     return records
 
 
-def _exponential_residual(L: DiffOperator, eps: float, theta: np.ndarray) -> float:
+def _exponential_residual(L: DiffOperator, eps: float, theta) -> float:
     win = Window(L.scaling, eps, (-8,) * L.d, (8,) * L.d)
     f = np.exp(1j * win.coords() @ np.asarray(theta, dtype=float)).reshape(win.shape)
     vals, _ = apply_to_field(L, f, win)

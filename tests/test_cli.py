@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from germcalc import Germ, Scaling, jet_germ, load_germ, preset_operator, save_germ
+from germcalc import (Germ, Scaling, WeightSystem, jet_germ, load_germ, preset_operator,
+                      save_germ)
 from germcalc.cli import main
 from germcalc.germs import Window, field_from_text, field_to_text
 
@@ -215,6 +216,22 @@ def test_kernel_window_cap_names_eta(capsys):
     for eta in ("40", "1e9"):
         code, _, err = run_cli(capsys, "liouville", "--preset", "laplacian", "--eta", eta)
         assert code == 1 and f"degree cutoff --eta {float(eta):g} " in err
+
+
+def test_failed_self_check_exits_two(capsys, monkeypatch):
+    # at this cutoff, round-off in the SVD null vectors fails the kernel's
+    # 1e-10 annihilation check: a computation error, reported in one line
+    code, out, err = run_cli(capsys, "liouville", "--preset", "laplacian", "--dim", "1",
+                             "--eta", "9.5")
+    assert code == 2 and out == ""
+    assert err.startswith("germcalc: VerificationError: kernel element")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    monkeypatch.setattr(WeightSystem, "verify", lambda self: (False, 2.0))
+    code, out, err = run_cli(capsys, "weights", "--scaling", "2,1", "--eta", "3.5",
+                             "--delta", "0.1")
+    assert code == 2 and out == ""
+    assert err.startswith("germcalc: VerificationError: constructed weights")
+    assert err.count("\n") == 1
 
 
 def test_malformed_scaling_exits_one(capsys):

@@ -1,9 +1,12 @@
+import cmath
 import math
 
 import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from germcalc import (Scaling, centered_rigidity_check, multi_indices,
-                      polynomial_kernel, preset_operator, symbol_zero_search)
+from germcalc import (Scaling, centered_rigidity_check, is_discretely_elliptic, make_operator,
+                      multi_indices, polynomial_kernel, preset_operator, symbol_zero_search)
 from germcalc.discrete_ops import apply_to_field
 from germcalc.germs import Window
 from germcalc.liouville import kernel_basis_to_text, rigidity_matrix
@@ -146,6 +149,73 @@ def test_zero_search_finds_cauchy_riemann_zeros():
         assert z.residual_inf <= 1e-8
     mags = {tuple(np.round(np.abs(np.asarray(z.theta)) / math.pi, 6)) for z in zeros}
     assert (0.5, 0.5) in mags
+
+
+_E = ((1, 0), (0, 1))
+
+
+def _first_order(a1, a2, b1, b2):
+    """a_1 D_1 + a_2 D_2 + b_1 Dbar_1 + b_2 Dbar_2 in 2D."""
+    return make_operator(Scaling((1, 1)), {(_E[0], (0, 0)): a1, (_E[1], (0, 0)): a2,
+                                           ((0, 0), _E[0]): b1, ((0, 0), _E[1]): b2})
+
+
+def _l_t(t):
+    """D_1 - e^(it) Dbar_1 + i D_2: its lattice symbol vanishes at (t, 0)."""
+    return _first_order(1.0, 1j, -cmath.exp(1j * t), 0.0)
+
+
+# sum_j (D_j + Dbar_j)^2, symbol -4 sum_j sin^2(theta_j): zero where each theta_j is 0 or +-pi
+_WIDE_LAPLACIAN = make_operator(Scaling((1, 1)), {
+    term: c for j in range(2) for term, c in (((tuple(2 * x for x in _E[j]), (0, 0)), 1.0),
+                                              ((_E[j], _E[j]), 2.0),
+                                              (((0, 0), tuple(2 * x for x in _E[j])), 1.0))})
+
+
+def test_kernel_of_a_stencil_wider_than_its_order():
+    # the stencil reaches across 5 points per axis at order 2; the kernel is
+    # the harmonic polynomials, as for the Laplacian
+    for eta, dim in ((0.5, 1), (1.5, 3), (2.5, 5), (3.5, 7)):
+        assert polynomial_kernel(_WIDE_LAPLACIAN, 1.0, eta).dimension == dim
+
+
+def _check_zero_finders_agree(L, resolution):
+    """The lattice verdict of ``ellipticity`` and the zero search's list
+    agree; every zero lies outside the origin box and is certified."""
+    rep = is_discretely_elliptic(L, 1.0, resolution)
+    zeros = symbol_zero_search(L, 1.0, resolution)
+    assert (rep.discrete_verdict == "not-elliptic") == bool(zeros)
+    if zeros:
+        assert rep.discrete_witness in [z.theta for z in zeros]
+    half = max(1, resolution / 16) * 2 * math.pi / resolution
+    for z in zeros:
+        assert max(abs(t) for t in z.theta) > half
+        assert z.residual_inf <= 1e-8
+    return rep, {tuple(np.round(z.theta, 9) + 0.0) for z in zeros}
+
+
+_coefficients = st.one_of(st.just(0j), st.complex_numbers(max_magnitude=2))
+
+
+@given(_coefficients, _coefficients, _coefficients, _coefficients, st.sampled_from([16, 32]))
+@settings(max_examples=20, deadline=None)
+def test_zero_finders_agree_on_first_order_operators(a1, a2, b1, b2, resolution):
+    assume(any(abs(c) > 1e-3 for c in (a1, a2, b1, b2)))
+    _check_zero_finders_agree(_first_order(a1, a2, b1, b2), resolution)
+
+
+@pytest.mark.parametrize("resolution", [16, 32, 64])
+def test_zero_finders_agree_on_fixed_operators(resolution):
+    # the zero of L_0.5 lies outside the origin box of half-width pi/8 and
+    # both commands report it; the zero of L_0.25 lies inside, and neither does
+    rep, zeros = _check_zero_finders_agree(_l_t(0.5), resolution)
+    assert zeros == {(0.5, 0.0)}
+    assert np.allclose(rep.discrete_witness, (0.5, 0.0), atol=1e-9)
+    rep, zeros = _check_zero_finders_agree(_l_t(0.25), resolution)
+    assert zeros == set() and rep.discrete_witness is None
+    _, zeros = _check_zero_finders_agree(_WIDE_LAPLACIAN, resolution)
+    pi = round(math.pi, 9)
+    assert {(-pi, 0.0), (0.0, -pi), (-pi, -pi)} <= zeros
 
 
 def test_kernel_basis_text():
