@@ -47,14 +47,19 @@ class WeightSystem:
     rho: dict
 
     def cross_term(self, beta: MultiIndex, gamma: MultiIndex) -> Fraction:
+        """The term of ``beta`` against ``gamma``; every weight is an
+        integer, so each factor goes to the numerator or the denominator by
+        the sign of its exponent and one ``Fraction`` is built at the end."""
         s = self.scaling.s
-        db = self.scaling.degree(beta)
-        dg = self.scaling.degree(gamma)
-        term = Fraction(self.kappa[beta])
-        term *= Fraction(self.eps_level[db]) ** (dg - db)
-        for j in range(self.scaling.d):
-            term *= Fraction(self.rho[beta][j]) ** (s[j] * (gamma[j] - beta[j]))
-        return term
+        expo = [sj * (g - b) for sj, g, b in zip(s, gamma, beta)]   # sums to |gamma| - |beta|
+        level = sum(sj * b for sj, b in zip(s, beta))
+        num, den = self.kappa[beta], 1
+        for weight, e in zip((self.eps_level[level], *self.rho[beta]), (sum(expo), *expo)):
+            if e >= 0:
+                num *= weight ** e
+            else:
+                den *= weight ** -e
+        return Fraction(num, den)
 
     def verify(self) -> tuple[bool, float]:
         """Exact (rational) check of the absorption inequality; returns the

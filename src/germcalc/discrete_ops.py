@@ -315,7 +315,8 @@ def lattice_symbol_zeros(L: DiffOperator, eps: float, resolution: int):
     16 lowest grid values outside the box, in ``np.argsort`` order, start the
     refinements; a minimiser in the box is the trivial zero and is dropped.
     Yields ``(|symbol|, theta)`` for each minimiser with ``|symbol| <= 1e-12
-    * max(1, coeff_scale * eps**-m)``, in start order, then ``(least, None)``:
+    * max(1, coeff_scale * eps**-m)``, in start order, with theta wrapped into
+    ``[-pi, pi) * eps**-s_j``; then ``(least, None)``:
     the least |symbol| seen outside the box, on the grid or at a minimiser.
     """
     if resolution < 8:
@@ -334,7 +335,8 @@ def lattice_symbol_zeros(L: DiffOperator, eps: float, resolution: int):
     least = float(np.min(vals))
     tol = 1e-12 * max(1.0, L.coeff_scale() * eps ** (-L.order))
     for v, x in _refined_minima(L, eps, T[np.argsort(vals)[:16]]):
-        theta = tuple(float(t) for t in x)
+        # the minimiser lies in [-b, b]; +b is the torus point -b
+        theta = tuple(float(t - 2 * b if t >= b else t) for t, b in zip(x, bounds))
         if all(abs(t) <= r for t, r in zip(theta, near)):
             continue
         least = min(least, v)

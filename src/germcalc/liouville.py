@@ -175,15 +175,18 @@ def symbol_zero_search(L: DiffOperator, eps: float = 1.0,
                        resolution: int = 64) -> list[SymbolZero]:
     """Nonzero dual-torus points where the lattice symbol vanishes.
 
-    Every zero of ``lattice_symbol_zeros``, one per grid cell, each certified
-    by applying the operator to the corresponding complex exponential on a
-    window of half-width 8 and recording the sup residual; sorted by theta.
+    Every zero of ``lattice_symbol_zeros``, one per grid cell of the torus
+    (cells compared modulo the resolution, so periodic images count once),
+    each certified by applying the operator to the corresponding complex
+    exponential on a window of half-width 8 and recording the sup residual;
+    sorted by theta.
     """
-    cell = np.array([2 * b / resolution for b in dual_torus_bounds(L.scaling, eps)])
+    period = 2 * np.array(dual_torus_bounds(L.scaling, eps))
+    cell = period / resolution
     records: list[SymbolZero] = []
     for v, theta in lattice_symbol_zeros(L, eps, resolution):
-        if theta is None or any(np.all(np.abs(np.subtract(theta, z.theta)) <= cell)
-                                for z in records):
+        gaps = (np.abs(np.subtract(theta, z.theta)) for z in records)
+        if theta is None or any(np.all(np.minimum(g, period - g) <= cell) for g in gaps):
             continue
         records.append(SymbolZero(theta, v, _exponential_residual(L, eps, theta)))
     records.sort(key=lambda z: z.theta)

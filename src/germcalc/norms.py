@@ -312,8 +312,12 @@ def seminorm_G_eta_alpha(U: Germ, eta: float, alpha: float,
     exact solves; pairs that provably cannot beat the current max are
     skipped, so the reported value is exact up to a 1e-12 relative slack.
     The bounds are read off the table modulo polynomials when it has rank
-    at most one there (``_factor_modulo_polynomials``) and come from one
-    least-squares fit per pair otherwise.
+    zero there (``_quiet_bounds``); otherwise ``_screen_bounds`` fits once
+    per base point y and bucket of distances d(x, y), the common row of a
+    rank-one table or each pair's increment.  The pass visits the pairs in
+    descending bound order (then x, then y), sorting one block of the
+    largest bounds at a time (``_descending``), and the first pair with the
+    largest exact value is the witness.
     """
     if not (0 < alpha < eta):
         raise ValidationError("need 0 < alpha < eta")
@@ -355,13 +359,12 @@ def seminorm_G_eta_alpha(U: Germ, eta: float, alpha: float,
     cand = np.nonzero(~quiet)[0]
     if quiet.any():
         cand = np.append(cand, np.nonzero(quiet)[0][int(np.argmax(ub[quiet]))])
-    order = cand[np.lexsort((ys[cand], xs[cand], -ub[cand]))]
     reach = ub * math.sqrt(2) if np.iscomplexobj(U.values) else ub
 
     base_idx = base.indices()
     best = -1.0
     bw: dict = {}
-    for i in order:
+    for i in _descending(cand, ub, xs, ys):
         if best >= 0 and reach[i] <= best * (1 + 1e-12) + 1e-300:
             break
         val, coeffs = pair_minimax(U, int(xs[i]), int(ys[i]), eta, alpha, R)
@@ -370,6 +373,24 @@ def seminorm_G_eta_alpha(U: Germ, eta: float, alpha: float,
             bw = {"base_x": tuple(base_idx[xs[i]]), "base_y": tuple(base_idx[ys[i]]),
                   "coeffs": np.asarray(coeffs)}
     return NormReport(name, max(best, 0.0), params, bw, window_descriptor(U))
+
+
+def _descending(cand: np.ndarray, ub: np.ndarray, xs: np.ndarray, ys: np.ndarray):
+    """Yield ``cand`` in ``lexsort((ys, xs, -ub))`` order (descending bound,
+    then x, then y; NaN bounds last), sorting one block at a time.
+
+    A block is every remaining candidate at or above the 64th largest
+    remaining bound, ties at the cut included, so the blocks come out in
+    order; the ordered pass usually stops inside the first one.
+    """
+    block = 64
+    rest = cand
+    while rest.size:
+        key = -ub[rest]
+        cut = np.partition(key, block - 1)[block - 1] if rest.size > block else np.nan
+        take = key <= cut if not np.isnan(cut) else np.ones(rest.size, dtype=bool)
+        head, rest = rest[take], rest[~take]
+        yield from head[np.lexsort((ys[head], xs[head], key[take]))]
 
 
 def _factor_modulo_polynomials(U: Germ, eta: float):
@@ -423,29 +444,45 @@ def _quiet_bounds(U: Germ, Dxy: np.ndarray, pairs: np.ndarray, eta: float, alpha
     return spread / wmin, wmin, xs, ys
 
 
+#: Screen buckets per octave of d(x, y).  At 2 per octave the bounds loosen
+#: enough to add exact solves on the benchmark's frozen 2D and (2,1) germs;
+#: 8 per octave fits more rows for no fewer solves.
+_BUCKETS_PER_OCTAVE = 4
+
+
 def _screen_bounds(U: Germ, Dxy: np.ndarray, a_pos: np.ndarray, pairs: np.ndarray,
                    eta: float, alpha: float, R: float | None, gammas: list[MultiIndex],
                    factor):
-    """Per-pair upper bounds and smallest weights.
+    """Per-pair upper bounds and lower bounds on the smallest weight.
 
     Returns (ub, wmin, xs, ys), y-major; ``a_pos`` is the active column
-    of each base point.  A factored table (``factor`` from
-    ``_factor_modulo_polynomials``) fits the recentered common row psi once
-    per y and distance class: the polynomial part of an increment lies in
-    the fit space, so ``|coef_x - coef_y|`` times that fit's bound plus the
-    pointwise remainder bounds the pair.  Any other table fits every pair's
-    increment.
+    of each base point.  The distances d(x, y) fall into buckets a quarter
+    octave wide, ``floor(4 log2(d / d_min))`` with d_min the smallest
+    positive one.  Per y, each bucket in use gets one weight row, at the
+    smallest distance of that bucket in use at y, and every pair of the
+    bucket is fitted with it.  The weight grows with d(x, y) (eta > alpha),
+    so that fit's achieved maximum bounds every pair of the bucket from
+    above, and the row's smallest weight bounds theirs from below.
+
+    A factored table (``factor`` from ``_factor_modulo_polynomials``) fits
+    the recentered common row psi once per y and bucket: the polynomial part
+    of an increment lies in the fit space, so ``|coef_x - coef_y|`` times
+    that fit's bound plus the pointwise remainder bounds the pair.  Any
+    other table fits every pair's increment.
     """
     base = U.base
     B = base.coords()
     A = U.active.coords()
-    # the weights see x only through d(x, y): number the distinct distances
-    # once per call; per y, weights and normal matrices are built once per
-    # distance class in use and gathered per x
-    dist, dist_class = np.unique(Dxy, return_inverse=True)
-    dist_class = dist_class.reshape(Dxy.shape)
-    in_use = np.zeros((base.npoints, dist.size), dtype=bool)
-    in_use[np.nonzero(pairs)[1], dist_class[pairs]] = True
+    # the weights see x only through d(x, y), and grow with it: per y, one
+    # weight row and one fit per bucket of distances in use, at the smallest
+    # distance of the bucket in use there, gathered per x
+    d_pair = Dxy[pairs]
+    bucket = np.zeros(Dxy.shape, dtype=np.intp)
+    if d_pair.size:
+        bucket[pairs] = np.floor(_BUCKETS_PER_OCTAVE * np.log2(d_pair / np.min(d_pair)))
+    rep = np.full((base.npoints, int(np.max(bucket)) + 1), np.inf)
+    np.minimum.at(rep, (np.nonzero(pairs)[1], bucket[pairs]), d_pair)
+    in_use = np.isfinite(rep)
 
     cand_ub, cand_wmin, cand_x, cand_y = [], [], [], []
     for yf in range(base.npoints):
@@ -455,8 +492,8 @@ def _screen_bounds(U: Germ, Dxy: np.ndarray, a_pos: np.ndarray, pairs: np.ndarra
         if xs.size == 0 or not zmask.any():
             continue
         zs = np.nonzero(zmask)[0]
-        of_x = (np.cumsum(in_use[yf]) - 1)[dist_class[xs, yf]]   # row of Wc for each x
-        Wc = _weights(dist[in_use[yf]][:, None], dyz[zs][None, :], eta, alpha)
+        of_x = (np.cumsum(in_use[yf]) - 1)[bucket[xs, yf]]   # row of Wc for each x
+        Wc = _weights(rep[yf, in_use[yf]][:, None], dyz[zs][None, :], eta, alpha)
         wmin = np.min(Wc, axis=1)
         Phi = _poly_columns(A[zs] - B[yf][None, :], gammas)
         if factor is None:

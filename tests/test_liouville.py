@@ -181,7 +181,8 @@ def test_kernel_of_a_stencil_wider_than_its_order():
 
 def _check_zero_finders_agree(L, resolution):
     """The lattice verdict of ``ellipticity`` and the zero search's list
-    agree; every zero lies outside the origin box and is certified."""
+    agree; every zero lies in [-pi, pi)^2 outside the origin box and is
+    certified, and no two zeros are one torus point."""
     rep = is_discretely_elliptic(L, 1.0, resolution)
     zeros = symbol_zero_search(L, 1.0, resolution)
     assert (rep.discrete_verdict == "not-elliptic") == bool(zeros)
@@ -189,8 +190,13 @@ def _check_zero_finders_agree(L, resolution):
         assert rep.discrete_witness in [z.theta for z in zeros]
     half = max(1, resolution / 16) * 2 * math.pi / resolution
     for z in zeros:
+        assert all(-math.pi <= t < math.pi for t in z.theta)
         assert max(abs(t) for t in z.theta) > half
         assert z.residual_inf <= 1e-8
+    for i, z in enumerate(zeros):
+        for w in zeros[:i]:
+            gap = np.abs(np.subtract(z.theta, w.theta))
+            assert np.any(np.minimum(gap, 2 * math.pi - gap) > 1e-9), (z.theta, w.theta)
     return rep, {tuple(np.round(z.theta, 9) + 0.0) for z in zeros}
 
 
@@ -213,9 +219,11 @@ def test_zero_finders_agree_on_fixed_operators(resolution):
     assert np.allclose(rep.discrete_witness, (0.5, 0.0), atol=1e-9)
     rep, zeros = _check_zero_finders_agree(_l_t(0.25), resolution)
     assert zeros == set() and rep.discrete_witness is None
+    # (0, pi), (pi, 0) and (pi, pi) are three torus points; their periodic
+    # images at -pi are not listed again
     _, zeros = _check_zero_finders_agree(_WIDE_LAPLACIAN, resolution)
     pi = round(math.pi, 9)
-    assert {(-pi, 0.0), (0.0, -pi), (-pi, -pi)} <= zeros
+    assert zeros == {(-pi, 0.0), (0.0, -pi), (-pi, -pi)}
 
 
 def test_kernel_basis_text():

@@ -13,8 +13,9 @@ from germcalc.errors import (DomainTooSmallError, InputNotHolderError,
 from germcalc.germs import Window
 from germcalc.norms import pair_minimax, scaled_test_values, verify_family
 from germcalc.geometry import multi_indices
-from germcalc.norms import (_factor_modulo_polynomials, _pair_problem, _poly_columns,
-                            _quiet_bounds)
+from germcalc.norms import (_base_columns, _descending, _factor_modulo_polynomials,
+                            _pair_problem, _poly_columns, _quiet_bounds, _screen_bounds,
+                            _within)
 from germcalc._minimax import lp_minimax
 
 from conftest import box, germ_restricted, random_germ
@@ -377,11 +378,12 @@ def _screen_oracle(U, eta, alpha, R):
     return best
 
 
-def _oracle_germ(kind, s, eta, half, complex_values, inner_base, rng):
-    """A random table, or one whose rows modulo polynomials of weighted
-    degree <= floor(eta) have rank 0 (jet germ), rank 1 (frozen coefficient
-    germ; ``coef (x) psi`` plus polynomial rows) or rank 2."""
-    active = box(s, 1.0, half)
+def _oracle_germ(kind, active, eta, complex_values, inner_base, rng):
+    """A random table on the active window, or one whose rows modulo
+    polynomials of weighted degree <= floor(eta) have rank 0 (jet germ),
+    rank 1 (frozen coefficient germ; ``coef (x) psi`` plus polynomial rows)
+    or rank 2."""
+    s = active.scaling
     order = math.floor(eta)
 
     def field(shape=active.shape):
@@ -415,7 +417,7 @@ def _oracle_germ(kind, s, eta, half, complex_values, inner_base, rng):
 def test_eta_alpha_screen_matches_pair_oracle(case, kind, complex_values, inner_base, R, seed):
     s, eta, half = Scaling(case[0]), case[1], case[2]
     alpha = eta / 3
-    U = _oracle_germ(kind, s, eta, half, complex_values, inner_base,
+    U = _oracle_germ(kind, box(s, 1.0, half), eta, complex_values, inner_base,
                      np.random.default_rng(seed))
     # jets, frozen germs and rank-one tables take the factored screen,
     # random and rank-two tables the per-pair fits
@@ -444,6 +446,67 @@ def test_exact_solve_count_pinned(monkeypatch, scaling, operator, counted):
         calls.clear()
         run_probe(ExperimentConfig(Scaling(scaling), operator=operator, germ="frozen", seed=seed))
         assert len(calls) <= bound, seed
+
+
+# windows wide enough that some distance buckets hold two distances:
+# 8 and 9 in 1D and on (1,1), 1 + sqrt(2) and 1 + sqrt(3) on (2,1)
+@given(st.sampled_from([((1,), (-5,), (5,), 1.5), ((1,), (-5,), (5,), 2.5),
+                        ((1, 1), (-4, -1), (4, 1), 1.5), ((2, 1), (-2, -2), (2, 2), 0.7),
+                        ((2, 1), (-2, -2), (2, 2), 1.5)]),
+       st.sampled_from(["frozen", "rank1", "random"]), st.sampled_from([None, 1.5, 2.5]),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_screen_bounds_dominate_pairs(case, kind, R, seed):
+    # every screen bound, fitted at the smallest distance of its bucket,
+    # reaches the pair's own value, and its smallest weight is at most the
+    # pair's; pairs that pair_minimax leaves at the noise level report
+    # a least-squares bound of at most noise / (smallest weight)
+    s, eta = Scaling(case[0]), case[3]
+    alpha = eta / 3
+    U = _oracle_germ(kind, Window(s, 1.0, case[1], case[2]), eta, False, False,
+                     np.random.default_rng(seed))
+    noise = 1e-12 * float(np.max(np.abs(U.values)))
+    factor = _factor_modulo_polynomials(U, eta)
+    if 4 * float(np.max(factor[2])) > noise:
+        factor = None
+    assert (factor is None) == (kind == "random")
+    a_pos = _base_columns(U)
+    Dxy = U.distances[:, a_pos]
+    gammas = [g for g in multi_indices(s, math.floor(eta)) if any(g)]
+    ub, wmin, xs, ys = _screen_bounds(U, Dxy, a_pos, _within(Dxy, R), eta, alpha, R,
+                                      gammas, factor)
+    assert xs.size > 0
+    for bound, w, xf, yf in zip(ub, wmin, xs, ys):
+        value = pair_minimax(U, int(xf), int(yf), eta, alpha, R)[0]
+        least = float(np.min(_pair_problem(U, int(xf), int(yf), eta, alpha, R)[2]))
+        assert w <= least
+        assert bound >= value * (1 - 1e-9) - noise / least
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 400),
+       st.sampled_from(["ties", "spread"]), st.integers(0, 3), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+@example(7, 40, "spread", 0, 0)      # fewer candidates than one block
+@example(7, 300, "ties", 0, 0)       # many ties at every block cut
+@example(7, 300, "spread", 2, 0)     # infinite bounds
+@example(7, 300, "spread", 0, 3)     # NaN bounds
+@example(7, 100, "ties", 1, 80)      # fewer numbers than one block, then NaN
+def test_descending_is_the_lexsort_order(seed, n, kind, infs, nans):
+    # the block-wise pass visits the candidates in lexsort((ys, xs, -ub))
+    # order: descending bound, then x, then y, NaN bounds last
+    rng = np.random.default_rng(seed)
+    size = n + 20
+    ub = (rng.integers(0, 5, size).astype(float) if kind == "ties"
+          else rng.standard_normal(size))
+    ub[rng.choice(size, size=min(infs, size), replace=False)] = np.inf
+    ub[rng.choice(size, size=min(nans, size), replace=False)] = np.nan
+    xs, ys = rng.integers(0, 6, size), rng.integers(0, 6, size)
+    cand = rng.permutation(size)[:n]
+    want = cand[np.lexsort((ys[cand], xs[cand], -ub[cand]))]
+    got = np.array(list(_descending(cand, ub, xs, ys)), dtype=int)
+    assert got.tolist() == want.tolist()
+    n_nan = int(np.count_nonzero(np.isnan(ub[cand])))
+    assert np.all(np.isnan(ub[got[got.size - n_nan:]]))
 
 
 @pytest.mark.parametrize("case", [((1,), (-6,), (6,), 1.5, None),
