@@ -13,6 +13,11 @@ simplices of up to 3 points this matches numpy's ``argsort`` on every tie
 pattern; for 4 points (d = 3) numpy's SIMD ``argsort`` may order exact ties
 differently, so there scipy's own path depends on the CPU while this one
 does not.  NaN objective values are not supported.
+
+One addition: ``fstop`` ends the search at the first iteration whose best
+value is below it.  The best value never rises, so a caller that knows every
+point with a value below ``fstop`` is of no interest can stop there; the
+default, ``-inf``, never stops and keeps scipy's behaviour.
 """
 
 from __future__ import annotations
@@ -33,9 +38,11 @@ def _vertex(xbar, w, p, q, lo, hi):
             for c, v, a, b in zip(xbar, w, lo, hi)]
 
 
-def nelder_mead(f, x0, lo=None, hi=None, *, xatol: float, fatol: float, maxiter: int):
+def nelder_mead(f, x0, lo=None, hi=None, *, xatol: float, fatol: float, maxiter: int,
+                fstop: float = -math.inf):
     """Minimise ``f`` (a function of a list of floats) from ``x0``, clipping
-    every vertex to the box ``[lo, hi]`` when bounds are given; returns
+    every vertex to the box ``[lo, hi]`` when bounds are given, until scipy's
+    stopping rules fire or the best value falls below ``fstop``; returns
     (minimiser, its value, iterations)."""
     n = len(x0)
     if lo is None:  # clipping to infinite bounds changes no value
@@ -54,6 +61,8 @@ def nelder_mead(f, x0, lo=None, hi=None, *, xatol: float, fatol: float, maxiter:
     while it < maxiter:
         f0, x0 = pts[0]
         fw, w = pts[-1]
+        if f0 < fstop:
+            break
         # scipy tests the x spread first; both tests are pure, so order is
         # free.  The values are sorted, so the worst one has the largest spread
         if (fw - f0 <= fatol

@@ -63,7 +63,10 @@ class WeightSystem:
 
     def verify(self) -> tuple[bool, float]:
         """Exact (rational) check of the absorption inequality; returns the
-        worst ratio of cross-term sum against delta times the diagonal."""
+        worst ratio of cross-term sum against delta times the diagonal.  The
+        system is frozen, so the verdict is worked out once and then stored."""
+        if "_verdict" in self.__dict__:
+            return self._verdict
         delta = Fraction(self.delta)
         worst = Fraction(0)
         ok = True
@@ -75,7 +78,8 @@ class WeightSystem:
                 ok = False
             if cap > 0:
                 worst = max(worst, total / cap)
-        return ok, float(worst)
+        object.__setattr__(self, "_verdict", (ok, float(worst)))
+        return self._verdict
 
     def to_text(self) -> str:
         s = ",".join(str(x) for x in self.scaling.s)

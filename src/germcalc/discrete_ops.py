@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -287,7 +288,7 @@ def continuum_symbol_scan(L: DiffOperator, samples: int = 1000):
 MAX_SCAN_POINTS = 2 ** 20
 
 
-def _refined_minima(L: DiffOperator, eps: float, starts):
+def _refined_minima(L: DiffOperator, eps: float, starts, floor: float = -math.inf):
     """Nelder-Mead minimisations of |lattice symbol|^2 inside the dual torus,
     one per start, run only as the caller asks for them; yields
     (|symbol| at the minimiser, minimiser).
@@ -296,14 +297,52 @@ def _refined_minima(L: DiffOperator, eps: float, starts):
     ``_nelder_mead`` on the one-point symbol of ``_symbol_function``, so it
     returns what ``scipy.optimize.minimize`` on ``discrete_symbol`` returns,
     bit for bit, without numpy's per-step overhead on a 2-4 point simplex.
+    A positive ``floor`` stops a run at the first iteration whose best value
+    is below ``floor**2``; the runs it does not stop are still scipy's, bit
+    for bit.
     """
     symbol = _symbol_function(L, eps)
     hi = dual_torus_bounds(L.scaling, eps)
     lo = tuple(-b for b in hi)
+    fstop = floor * floor if floor > 0 else -math.inf
     for start in starts:
         x, fun, _ = nelder_mead(lambda t: abs(symbol(t)) ** 2, start, lo, hi,
-                                xatol=1e-13, fatol=1e-300, maxiter=800)
+                                xatol=1e-13, fatol=1e-300, maxiter=800, fstop=fstop)
         yield math.sqrt(max(fun, 0.0)), np.asarray(x)
+
+
+def _symbol_floor(L: DiffOperator, eps: float, axes, vals: np.ndarray, half, near) -> float:
+    """A certified lower bound on the lattice symbol's modulus over every
+    grid cell that reaches outside the origin box of half-widths ``near``;
+    the cells are centred at the points of the grid with per-axis
+    coordinates ``axes``, where |symbol| is ``vals`` (``ij`` order), and
+    have half-widths ``half``.
+
+    Each difference factor, forward or backward, on an axis of step h has
+    modulus at most ``min(2/h, |theta|)`` and a theta-derivative of modulus
+    1.  So on a cell the partial derivative along axis j is at most ``G_j =
+    sum_terms |a| n_j F_j^(n_j-1) prod_(k != j) F_k^n_k``, with ``n = gamma +
+    delta`` and ``F_k = min(2/h_k, |theta_k| + half_k)``, and ``|symbol| >=
+    |symbol(centre)| - sum_j G_j half_j`` there.  ``F_k`` depends on axis k
+    only, so the bounds are built from per-axis factors.  The least bound,
+    less a rounding allowance of ``2e-12 * max(1, sum |a| prod
+    (2/h_k)^n_k)``, is returned.
+    """
+    steps = [eps ** s for s in L.scaling.s]
+    F = np.ix_(*(np.minimum(2 / h, np.abs(ax) + r) for ax, h, r in zip(axes, steps, half)))
+    # a cell reaches outside the box when it does so along some axis
+    reach = reduce(np.maximum, np.ix_(*(np.abs(ax) + r - b
+                                        for ax, r, b in zip(axes, half, near)))) > 0
+    slope, top = 0.0, 0.0
+    for g, dl, a in L.terms:
+        n = [p + q for p, q in zip(g, dl)]
+        for j in range(L.d):
+            if n[j]:
+                slope = slope + abs(a) * n[j] * half[j] * math.prod(
+                    f ** (nk - (k == j)) for k, (f, nk) in enumerate(zip(F, n)))
+        top += abs(a) * math.prod((2 / h) ** k for h, k in zip(steps, n))
+    lower = vals.reshape(reach.shape) - slope
+    return float(np.min(lower[reach])) - 2e-12 * max(1.0, top)
 
 
 def lattice_symbol_zeros(L: DiffOperator, eps: float, resolution: int):
@@ -314,6 +353,8 @@ def lattice_symbol_zeros(L: DiffOperator, eps: float, resolution: int):
     resolution/16)`` cells per axis around it is left out of the grid.  The
     16 lowest grid values outside the box, in ``np.argsort`` order, start the
     refinements; a minimiser in the box is the trivial zero and is dropped.
+    A refinement whose best value falls below the certified floor of
+    ``_symbol_floor`` can only end in the box, so it is stopped there.
     Yields ``(|symbol|, theta)`` for each minimiser with ``|symbol| <= 1e-12
     * max(1, coeff_scale * eps**-m)``, in start order, with theta wrapped into
     ``[-pi, pi) * eps**-s_j``; then ``(least, None)``:
@@ -330,11 +371,12 @@ def lattice_symbol_zeros(L: DiffOperator, eps: float, resolution: int):
     vals = np.abs(discrete_symbol(L, eps, T))
     # per-axis half-width of the box around the origin
     near = [max(1.0, resolution / 16) * (2 * b / resolution) + 1e-15 for b in bounds]
+    floor = _symbol_floor(L, eps, axes, vals, [b / resolution for b in bounds], near)
     outside = ~np.all(np.abs(T) <= near, axis=1)
     T, vals = T[outside], vals[outside]
     least = float(np.min(vals))
     tol = 1e-12 * max(1.0, L.coeff_scale() * eps ** (-L.order))
-    for v, x in _refined_minima(L, eps, T[np.argsort(vals)[:16]]):
+    for v, x in _refined_minima(L, eps, T[np.argsort(vals)[:16]], floor):
         # the minimiser lies in [-b, b]; +b is the torus point -b
         theta = tuple(float(t - 2 * b if t >= b else t) for t, b in zip(x, bounds))
         if all(abs(t) <= r for t, r in zip(theta, near)):

@@ -15,9 +15,11 @@ from germcalc import (Scaling, adjoint, apply_to_field, apply_to_germ,
                       is_discretely_elliptic, make_operator, monomial_diff_rule_check,
                       multi_indices, operator_from_text, operator_to_text,
                       preset_operator)
+from germcalc import discrete_ops
 from germcalc._nelder_mead import nelder_mead
 from germcalc.discrete_ops import (_refined_minima, _sphere_samples, _symbol_function,
-                                   continuum_symbol_scan, dual_torus_bounds, fft_symbol_grid)
+                                   continuum_symbol_scan, dual_torus_bounds, fft_symbol_grid,
+                                   lattice_symbol_zeros)
 from germcalc.errors import ValidationError
 from germcalc.germs import Window
 from germcalc.norms import pairing
@@ -304,6 +306,116 @@ def test_symbol_analysis_does_not_import_the_optimizer():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
     assert out.stdout.strip().splitlines()[-1] == "False"
+
+
+@given(st.integers(1, 3), st.booleans(), st.integers(0, 2**32 - 1), st.floats(0, 1))
+@settings(max_examples=40, deadline=None)
+def test_nelder_mead_fstop_ends_at_the_first_iteration_below_it(d, bounded, seed, u):
+    # with maxiter=k the search returns the simplex at the top of iteration k,
+    # so fstop=t must return exactly that for the first k whose best is below t
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.1, 10, d).tolist()
+    c = rng.uniform(-2, 2, d).tolist()
+    f = lambda x: 0.5 + sum(wi * (xi - ci) ** 2 for wi, xi, ci in zip(w, x, c))  # noqa: E731
+    lo = hi = None
+    if bounded:
+        hi = tuple((np.abs(c) + rng.uniform(0.5, 2, d)).tolist())
+        lo = tuple(-b for b in hi)
+    x0 = rng.uniform(-1, 1, d) * (hi if bounded else 3)
+    opts = dict(xatol=1e-14, fatol=1e-300)
+    best = [nelder_mead(f, x0, lo, hi, maxiter=k, **opts)[1] for k in range(1, 41)]
+    t = best[0] + u * (best[-1] - best[0])
+    first = next((k for k, b in enumerate(best, 1) if b < t), None)
+    assume(first is not None)
+    assert (nelder_mead(f, x0, lo, hi, maxiter=400, fstop=t, **opts)
+            == nelder_mead(f, x0, lo, hi, maxiter=first, **opts))
+    assert (nelder_mead(f, x0, lo, hi, maxiter=400, fstop=math.inf, **opts)
+            == nelder_mead(f, x0, lo, hi, maxiter=1, **opts))
+
+
+@st.composite
+def integer_operators(draw):
+    """Random order-2 operators on the gradings (1,1) and (2,1) with small
+    integer coefficients: the Laplacian's (1,1) or the heat operator's (2,1)
+    terms, each weighted 0-4, plus one to three terms weighted -1 or 1, the
+    last of them imaginary."""
+    scaling = Scaling(draw(st.sampled_from([(1, 1), (2, 1)])))
+    pairs = [(g, dl) for g in multi_indices(scaling, 2) for dl in multi_indices(scaling, 2)
+             if scaling.degree(g) + scaling.degree(dl) == 2]
+    base = preset_operator("laplacian" if scaling.s == (1, 1) else "heat", 2)
+    terms = {(g, dl): draw(st.integers(0, 4)) * a for g, dl, a in base.terms}
+    extra = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3, unique=True))
+    for i, p in enumerate(extra):
+        c = draw(st.sampled_from([-1, 1]))
+        terms[p] = terms.get(p, 0) + (1j * c if i == len(extra) - 1 else c)
+    return make_operator(scaling, terms)
+
+
+def _floor_and_box(L, eps, resolution):
+    """The certified floor and the origin box half-widths that
+    ``lattice_symbol_zeros`` works with."""
+    seen = []
+    real = discrete_ops._symbol_floor
+
+    def spy(*args):
+        seen.append((real(*args), args[-1]))
+        return seen[-1][0]
+    with mock.patch.object(discrete_ops, "_symbol_floor", spy):
+        next(lattice_symbol_zeros(L, eps, resolution))
+    return seen[0]
+
+
+def _check_floor(L, eps, resolution, seed):
+    """|symbol| at random torus points outside the origin box is at least the
+    floor; returns the floor.  The points are drawn uniformly on the torus
+    and on the boxes two cells and half a cell wider than the origin box,
+    where the floor is tightest."""
+    floor, near = _floor_and_box(L, eps, resolution)
+    bounds = np.array(dual_torus_bounds(L.scaling, eps))
+    rng = np.random.default_rng(seed)
+    T = np.concatenate([rng.uniform(-1, 1, (1500, L.d)) * half
+                        for half in (bounds, near + 4 * bounds / resolution,
+                                     near + bounds / resolution)])
+    T = T[~np.all(np.abs(T) <= near, axis=1)]
+    assert len(T) >= 2000
+    assert np.min(np.abs(discrete_symbol(L, eps, T))) >= floor
+    return floor
+
+
+def _zeros_without_floor(L, eps, resolution):
+    with mock.patch.object(discrete_ops, "_symbol_floor", lambda *args: -math.inf):
+        return list(lattice_symbol_zeros(L, eps, resolution))
+
+
+@given(integer_operators(), st.sampled_from([1.0, 0.5, 0.37]), st.sampled_from([16, 32, 64]),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_symbol_floor_is_sound(L, eps, resolution, seed):
+    _check_floor(L, eps, resolution, seed)
+
+
+def test_symbol_floor_of_the_presets():
+    # the elliptic presets get a positive floor at the default resolution;
+    # cauchy-riemann's lattice symbol vanishes outside the box, and the
+    # term-wise bounds of eps-degenerate add where its terms cancel
+    for name, positive in (("laplacian", True), ("heat", True),
+                           ("cauchy-riemann", False), ("eps-degenerate", False)):
+        assert (_check_floor(preset_operator(name, 2), 1.0, 64, 0) > 0) == positive
+
+
+@given(integer_operators(), st.sampled_from([1.0, 0.5, 0.37]), st.sampled_from([16, 32, 64]))
+@settings(max_examples=25, deadline=None)
+def test_symbol_floor_changes_no_zero(L, eps, resolution):
+    assert list(lattice_symbol_zeros(L, eps, resolution)) == _zeros_without_floor(L, eps, resolution)
+
+
+@pytest.mark.parametrize("name, d", [
+    ("laplacian", 1), ("laplacian", 2), ("laplacian", 3), ("heat", 2), ("heat", 3),
+    ("cauchy-riemann", 2), ("eps-degenerate", 1), ("eps-degenerate", 2), ("eps-degenerate", 3)])
+@pytest.mark.parametrize("eps", [1.0, 0.37])
+def test_symbol_floor_changes_no_preset_zero(name, d, eps):
+    L = preset_operator(name, d)
+    assert list(lattice_symbol_zeros(L, eps, 64)) == _zeros_without_floor(L, eps, 64)
 
 
 def test_eps_degenerate_continuum_vanishes(rng):
