@@ -14,8 +14,7 @@ from .norms import (NormReport, TestFunctionFamily, build_default_family, lambda
                     seminorm_G_eta_alpha, seminorm_G_gamma, sup_below)
 from .liouville import (KernelBasis, SymbolZero, centered_rigidity_check,
                         polynomial_kernel, symbol_zero_search)
-from .coeff_bounds import (ProbeReport, WeightSystem, construct_weights,
-                           probe_coefficients)
+from .coeff_bounds import WeightSystem, construct_weights
 from .harness import (ExperimentConfig, RatioReport, member_rng, run_probe,
                       schauder_sides, solve_poisson, summarize)
 

@@ -260,15 +260,22 @@ def _cmd_weights(args) -> int:
     scaling = harness.parse_scaling(args.scaling)
     system = construct_weights(scaling, args.eta, args.delta)
     ok, worst = system.verify()
-    if args.json:
-        print(json.dumps({
-            "ok": ok, "worst_ratio": worst,
-            "kappa": {str(k): v for k, v in system.kappa.items()},
-            "eps_level": {str(k): v for k, v in system.eps_level.items()},
-            "rho": {str(k): list(v) for k, v in system.rho.items()}}, sort_keys=True))
-    else:
-        print(system.to_text(), end="")
-        print(f"absorption inequality verified: {ok} (worst ratio {worst:.6g})")
+    # the work cap bounds the weights' size; past 4,300 digits Python refuses
+    # to print an integer unless told otherwise
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if args.json:
+            print(json.dumps({
+                "ok": ok, "worst_ratio": worst,
+                "kappa": {str(k): v for k, v in system.kappa.items()},
+                "eps_level": {str(k): v for k, v in system.eps_level.items()},
+                "rho": {str(k): list(v) for k, v in system.rho.items()}}, sort_keys=True))
+        else:
+            print(system.to_text(), end="")
+            print(f"absorption inequality verified: {ok} (worst ratio {worst:.6g})")
+    finally:
+        sys.set_int_max_str_digits(digits)
     return 0
 
 

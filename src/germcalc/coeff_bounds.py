@@ -1,25 +1,32 @@
-"""Constructive coefficient bounds: absorption weights and ray probing.
+"""Constructive coefficient bounds: absorption weights.
 
 Builds, for the index set of multi-indices up to a degree cutoff, a system of
 weights (one scalar per index, one integer per degree level, one integer
 vector per index) whose cross terms are dominated by any prescribed fraction
 of the diagonal -- the absorption inequality that lets the polynomial
-coefficients of a recentered germ increment be bounded one by one.  The
-companion routine extracts those coefficients numerically by probing the
-increment along lattice rays and solving the resulting interpolation system.
+coefficients of a recentered germ increment be bounded one by one.
+
+Every weight is an integer, so every term is a quotient of two integers and
+the construction and its exact check compare integers only.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .errors import DegenerateProbeError, ValidationError, VerificationError, WindowTooSmallError
+from .errors import ValidationError, VerificationError
 from .geometry import MultiIndex, Scaling, multi_indices
-from .germs import Germ
+
+# Cap on the predicted work of a weight system, checked before its index set
+# is enumerated.  With n indices and degree levels 0, g, ..., L g (g the gcd
+# of the grading), the largest weight has about L**2 log10(2 (n - 1) / delta)
+# digits (in one dimension the weight of degree k is about share**(-k**2));
+# the work counts those digits for every index plus five per exact cross
+# term, of which there are n**2.
+MAX_WEIGHT_WORK = 160_000
 
 
 def first_differing_component(beta: MultiIndex, gamma: MultiIndex) -> int:
@@ -27,6 +34,19 @@ def first_differing_component(beta: MultiIndex, gamma: MultiIndex) -> int:
         if b != g:
             return j
     raise ValueError("indices are equal")
+
+
+def _split(num: int, factors) -> tuple[int, int]:
+    """``num * prod w**e`` over the ``(w, e)`` pairs, for integer weights w,
+    as an unreduced integer numerator and denominator: each factor goes to
+    the numerator or the denominator by the sign of its exponent."""
+    den = 1
+    for w, e in factors:
+        if e > 0:
+            num *= w ** e
+        elif e < 0:
+            den *= w ** -e
+    return num, den
 
 
 @dataclass(frozen=True)
@@ -47,38 +67,51 @@ class WeightSystem:
     rho: dict
 
     def cross_term(self, beta: MultiIndex, gamma: MultiIndex) -> Fraction:
-        """The term of ``beta`` against ``gamma``; every weight is an
-        integer, so each factor goes to the numerator or the denominator by
-        the sign of its exponent and one ``Fraction`` is built at the end."""
-        s = self.scaling.s
-        expo = [sj * (g - b) for sj, g, b in zip(s, gamma, beta)]   # sums to |gamma| - |beta|
-        level = sum(sj * b for sj, b in zip(s, beta))
-        num, den = self.kappa[beta], 1
-        for weight, e in zip((self.eps_level[level], *self.rho[beta]), (sum(expo), *expo)):
-            if e >= 0:
-                num *= weight ** e
-            else:
-                den *= weight ** -e
-        return Fraction(num, den)
+        """The term of ``beta`` against ``gamma``, exactly."""
+        s = self.scaling
+        return Fraction(*_split(self.kappa[beta], (
+            (self.eps_level[s.degree(beta)], s.degree(gamma) - s.degree(beta)),
+            *((r, sj * (g - b)) for r, sj, g, b in zip(self.rho[beta], s.s, gamma, beta)))))
 
     def verify(self) -> tuple[bool, float]:
-        """Exact (rational) check of the absorption inequality; returns the
-        worst ratio of cross-term sum against delta times the diagonal.  The
-        system is frozen, so the verdict is worked out once and then stored."""
+        """Exact check of the absorption inequality; returns the worst ratio
+        of cross-term sum against delta times the diagonal.  The system is
+        frozen, so the verdict is worked out once and then stored.
+
+        Each sum is kept over a common denominator that grows only by the
+        part of a new term's denominator it does not already hold, and every
+        comparison is a cross-multiplication of integers."""
         if "_verdict" in self.__dict__:
             return self._verdict
-        delta = Fraction(self.delta)
-        worst = Fraction(0)
+        s = self.scaling.s
+        rows = []  # per index: its degree, weights, and the rho entries that are not one
+        for b in self.indices:
+            level = self.scaling.degree(b)
+            rows.append((b, level, self.kappa[b], self.eps_level[level],
+                         [(r, j) for j, r in enumerate(self.rho[b]) if r != 1]))
+        dn, dd = self.delta.as_integer_ratio()
+        worst_num, worst_den = 0, 1
         ok = True
-        for g in self.indices:
-            total = sum((self.cross_term(b, g) for b in self.indices if b != g),
-                        Fraction(0))
-            cap = delta * Fraction(self.kappa[g])
-            if total > cap:
+        for g, level_g, kappa_g, _, _ in rows:
+            num, den = 0, 1
+            for b, level, kappa, eps, rho in rows:
+                if b is g:
+                    continue
+                n, d = _split(kappa, [(eps, level_g - level),
+                                      *((r, s[j] * (g[j] - b[j])) for r, j in rho)])
+                if d == 1:
+                    num += n * den
+                    continue
+                common = math.gcd(den, d)
+                num = num * (d // common) + n * (den // common)
+                den *= d // common
+            # ratio num / den against delta * kappa[g] = dn * kappa[g] / dd
+            num, den = num * dd, den * dn * kappa_g
+            if num > den:
                 ok = False
-            if cap > 0:
-                worst = max(worst, total / cap)
-        object.__setattr__(self, "_verdict", (ok, float(worst)))
+            if num * worst_den > worst_num * den:
+                worst_num, worst_den = num, den
+        object.__setattr__(self, "_verdict", (ok, worst_num / worst_den))
         return self._verdict
 
     def to_text(self) -> str:
@@ -93,34 +126,63 @@ class WeightSystem:
         return "\n".join(lines) + "\n"
 
 
-def _pow2_at_least(bound: Fraction) -> int:
-    k = 1
-    while k < bound:
+def _pow2_at_least(k: int, num: int, den: int) -> int:
+    """Least power of two, from ``k`` up, that is at least ``num / den``."""
+    while k * den < num:
         k *= 2
     return k
 
 
-def _int_root_at_least(bound: Fraction, q: int) -> int:
+def _int_root_at_least(bound, q: int) -> int:
     """Least integer r >= 1 with r**q >= bound, in exact integer arithmetic.
 
-    Since r**q is an integer, r**q >= bound exactly when r**q >= ceil(bound);
-    r is bracketed by doubling and then bisected (bounds reach 1e21 and more,
+    Since r**q is an integer, r**q >= bound exactly when r**q >= ceil(bound).
+    Newton's iteration on integers, started above the root, falls to the
+    floor of the q-th root of that ceiling (bounds reach thousands of digits,
     beyond what a float root can resolve).
     """
     n = math.ceil(bound)
     if n <= 1:
         return 1
-    hi = 2
-    while hi ** q < n:
-        hi *= 2
-    lo = hi // 2  # lo**q < n <= hi**q
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mid ** q >= n:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    r = 1 << -(-n.bit_length() // q)  # r**q >= 2**bit_length > n
+    while True:
+        nxt = ((q - 1) * r + n // r ** (q - 1)) // q
+        if nxt >= r:
+            break
+        r = nxt
+    return r if r ** q >= n else r + 1
+
+
+def _root_at_least(r: int, num: int, den: int, q: int) -> int:
+    """``max(r, least integer root with root**q >= num / den)``; the root is
+    searched only when r itself falls short."""
+    if r ** q * den >= num:
+        return r
+    return _int_root_at_least(-(-num // den), q)
+
+
+def _weight_work(scaling: Scaling, n: int, eta: float, delta: float) -> float:
+    """The predicted work of ``n`` indices up to degree ``eta``."""
+    levels = eta // math.gcd(*scaling.s)
+    return n * (5 * n + levels ** 2 * math.log10(max(2.0, 2 * (n - 1) / delta)))
+
+
+def _check_work(scaling: Scaling, eta: float, delta: float) -> None:
+    """Refuse a weight system whose predicted work passes ``MAX_WEIGHT_WORK``.
+    The indices along the lightest axis bound their count from below, so a
+    huge eta is refused before any index is counted."""
+    fits = _weight_work(scaling, eta // min(scaling.s) + 1, eta, delta) <= MAX_WEIGHT_WORK
+    if fits:
+        top = math.floor(eta)
+        ways = [1] + [0] * top  # ways[k]: the indices of weighted degree k
+        for w in scaling.s:
+            for k in range(w, top + 1):
+                ways[k] += ways[k - w]
+        fits = _weight_work(scaling, sum(ways), eta, delta) <= MAX_WEIGHT_WORK
+    if not fits:
+        raise ValidationError(
+            f"--eta {eta:g} is too large for grading {','.join(map(str, scaling.s))} at "
+            f"delta {delta:g}: the weights' predicted work passes the cap {MAX_WEIGHT_WORK}")
 
 
 def construct_weights(scaling: Scaling, eta: float, delta: float) -> WeightSystem:
@@ -135,15 +197,20 @@ def construct_weights(scaling: Scaling, eta: float, delta: float) -> WeightSyste
     the level's terms against all lower degrees are absorbed.  Each share is
     ``delta / (#indices - 1)``.  The result is verified exactly.
 
+    Every term and every bound is an integer numerator over an integer
+    denominator, compared by cross-multiplication.
+
     In one dimension no two distinct indices share a degree, so the vector
     weights stay identically one.
     """
     if not delta > 0:
         raise ValidationError("delta must be positive")
+    _check_work(scaling, eta, delta)
     A = multi_indices(scaling, eta)
     if not A:
         raise ValidationError("empty index set: eta is below every degree")
     d = scaling.d
+    s = scaling.s
     n = len(A)
     kappa: dict[MultiIndex, int] = {}
     eps_level: dict[int, int] = {}
@@ -154,32 +221,30 @@ def construct_weights(scaling: Scaling, eta: float, delta: float) -> WeightSyste
         rho[A[0]] = (1,) * d
         return WeightSystem(scaling, eta, delta, tuple(A), kappa, eps_level, rho)
 
-    share = Fraction(delta) / (n - 1)
+    # share = delta / (n - 1) = share_num / share_den
+    share_num, share_den = delta.as_integer_ratio()
+    share_den *= n - 1
     deg = {g: scaling.degree(g) for g in A}
-    levels = sorted({deg[g] for g in A})
 
-    def rho_pow(b: MultiIndex, expo: MultiIndex) -> Fraction:
-        out = Fraction(1)
-        for j in range(d):
-            out *= Fraction(rho[b][j]) ** (scaling.s[j] * expo[j])
-        return out
+    def rho_pow(num: int, b: MultiIndex, g: MultiIndex) -> tuple[int, int]:
+        """``num * prod_j rho[b][j]**(s_j (g_j - b_j))``."""
+        return _split(num, zip(rho[b], [sj * (gj - bj) for sj, gj, bj in zip(s, g, b)]))
 
-    for level in levels:
-        level_indices = [g for g in A if deg[g] == level]
+    lower: list[MultiIndex] = []  # the indices of the finished levels
+    for level, group in itertools.groupby(A, key=deg.get):
+        level_indices = list(group)
         for pos, g in enumerate(level_indices):
             earlier_same = level_indices[:pos]
             # scalar weight: absorb every earlier index's term against g
-            bound = Fraction(1)
-            for b in A:
-                if deg[b] < level:
-                    term = (Fraction(kappa[b])
-                            * Fraction(eps_level[deg[b]]) ** (level - deg[b])
-                            * rho_pow(b, tuple(g[j] - b[j] for j in range(d))))
-                    bound = max(bound, term / share)
+            k = 1
+            for b in lower:
+                num, den = rho_pow(kappa[b] * eps_level[deg[b]] ** (level - deg[b])
+                                   * share_den, b, g)
+                k = _pow2_at_least(k, num, den * share_num)
             for b in earlier_same:
-                term = Fraction(kappa[b]) * rho_pow(b, tuple(g[j] - b[j] for j in range(d)))
-                bound = max(bound, term / share)
-            kappa[g] = _pow2_at_least(bound) if g != A[0] else 1
+                num, den = rho_pow(kappa[b] * share_den, b, g)
+                k = _pow2_at_least(k, num, den * share_num)
+            kappa[g] = k if g != A[0] else 1
 
             # vector weight: shrink g's own terms against earlier same-degree
             rg = [1] * d
@@ -189,108 +254,24 @@ def construct_weights(scaling: Scaling, eta: float, delta: float) -> WeightSyste
                     for b, l0 in fdc.items():
                         if l0 != ell:
                             continue
-                        tail = Fraction(1)
-                        for j in range(ell + 1, d):
-                            tail *= Fraction(rg[j]) ** (scaling.s[j] * (b[j] - g[j]))
-                        q = scaling.s[ell] * (g[ell] - b[ell])
-                        need = (Fraction(kappa[g]) * tail
-                                / (share * Fraction(kappa[b])))
-                        rg[ell] = max(rg[ell], _int_root_at_least(need, q))
+                        num, den = _split(kappa[g] * share_den,
+                                          ((rg[j], s[j] * (b[j] - g[j]))
+                                           for j in range(ell + 1, d)))
+                        rg[ell] = _root_at_least(rg[ell], num, den * share_num * kappa[b],
+                                                 s[ell] * (g[ell] - b[ell]))
             rho[g] = tuple(rg)
 
         # level scale: absorb the finished level against all lower degrees
         e = 1
         for mu in level_indices:
-            for b in A:
-                if deg[b] >= level:
-                    continue
-                q = level - deg[b]
-                need = (Fraction(kappa[mu])
-                        * rho_pow(mu, tuple(b[j] - mu[j] for j in range(d)))
-                        / (share * Fraction(kappa[b])))
-                e = max(e, _int_root_at_least(need, q))
+            for b in lower:
+                num, den = rho_pow(kappa[mu] * share_den, mu, b)
+                e = _root_at_least(e, num, den * share_num * kappa[b], level - deg[b])
         eps_level[level] = e
+        lower += level_indices
 
     system = WeightSystem(scaling, eta, delta, tuple(A), kappa, eps_level, rho)
     ok, worst = system.verify()
     if not ok:
         raise VerificationError(f"constructed weights fail their own invariant (worst {worst})")
     return system
-
-
-# ---------------------------------------------------------------------------
-# coefficient extraction by ray probing
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    coefficients: dict
-    ratios: dict          # |nu_beta| / d(x,y)**(eta - |beta|)
-    probes: list          # (beta, ideal point, lattice index, rounding offset)
-    residual: float
-    condition: float
-
-
-def probe_coefficients(U: Germ, x_idx, y_idx, eta: float, alpha: float,
-                       weights: WeightSystem | None = None) -> ProbeReport:
-    """Extract the comparison-polynomial coefficients of ``U_x - U_y``.
-
-    Probes the increment at one lattice ray point per index: by default
-    ``z = y + sum_j ((beta_j + 1) d(x,y))**s_j e_j``, a unisolvent lower-set
-    node family; with a weight system, the probe offsets use its level scale
-    and vector weight instead (which may be degenerate).  Probe coordinates
-    are rounded to the lattice and the offsets reported; the rounding is
-    exact whenever d(x, y) is a whole multiple of the grid scale.
-    """
-    scaling = U.scaling
-    act = U.active
-    steps = act.steps
-    x_idx = tuple(int(i) for i in x_idx)
-    y_idx = tuple(int(i) for i in y_idx)
-    if x_idx == y_idx:
-        raise ValidationError("probe needs two distinct base points")
-    xf = U.base.flat(x_idx)
-    yf = U.base.flat(y_idx)
-    xc = np.array(x_idx, dtype=float) * np.array(steps)
-    yc = np.array(y_idx, dtype=float) * np.array(steps)
-    dist = scaling.distance(xc, yc)
-    A = multi_indices(scaling, eta)
-    probes = []
-    lattice_pts = []
-    for beta in A:
-        if weights is None:
-            e_fac = 1
-            rho_vec = tuple(b + 1 for b in beta)
-        else:
-            e_fac = weights.eps_level[scaling.degree(beta)]
-            rho_vec = weights.rho[beta]
-        ideal = yc + np.array([(e_fac * rho_vec[j] * dist) ** scaling.s[j]
-                               for j in range(scaling.d)])
-        idx = tuple(int(round(ideal[j] / steps[j])) for j in range(scaling.d))
-        if not act.contains(idx):
-            raise WindowTooSmallError(
-                f"probe point {idx} for index {beta} exits the active window")
-        actual = np.array(idx, dtype=float) * np.array(steps)
-        probes.append((beta, tuple(ideal), idx, tuple(actual - ideal)))
-        lattice_pts.append(idx)
-
-    V = np.zeros((len(A), len(A)))
-    g = np.zeros(len(A), dtype=complex)
-    for i, idx in enumerate(lattice_pts):
-        zc = np.array(idx, dtype=float) * np.array(steps)
-        af = act.flat(idx)
-        g[i] = U.values[xf, af] - U.values[yf, af]
-        for jb, beta in enumerate(A):
-            V[i, jb] = math.prod((zc[j] - yc[j]) ** beta[j] for j in range(scaling.d))
-    sv = np.linalg.svd(V, compute_uv=False)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
-    if not np.isfinite(cond) or cond > 1e12:
-        raise DegenerateProbeError(f"probe system is singular (condition {cond:.3g})")
-    if np.all(g.imag == 0):
-        g = g.real
-    nu = np.linalg.solve(V, g)
-    residual = float(np.max(np.abs(V @ nu - g)))
-    coeffs = {beta: nu[i] for i, beta in enumerate(A)}
-    ratios = {beta: float(abs(nu[i])) / dist ** (eta - scaling.degree(beta))
-              for i, beta in enumerate(A)}
-    return ProbeReport(coeffs, ratios, probes, residual, cond)

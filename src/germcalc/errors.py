@@ -17,10 +17,6 @@ class BoundaryError(GermCalcError, ValueError):
     """A difference stencil exits the window."""
 
 
-class WindowTooSmallError(GermCalcError, ValueError):
-    """A window is too small for the requested construction."""
-
-
 class DomainTooSmallError(GermCalcError, ValueError):
     """No admissible test-function placement fits the window."""
 
@@ -35,10 +31,6 @@ class InputNotHolderError(GermCalcError, ValueError):
 
 class IllPosedSourceError(GermCalcError, ValueError):
     """Fourier symbol (near-)vanishes on the discrete frequency grid."""
-
-
-class DegenerateProbeError(GermCalcError, ValueError):
-    """Probe points produce a singular coefficient system."""
 
 
 class ValidationError(GermCalcError, ValueError):

@@ -249,7 +249,8 @@ def run_probe(cfg: ExperimentConfig, mode: str = "schauder", rho: float | None =
                                   f"not {_FMT % cfg.eps_list[0]}")
         germs = [(0, U)]
     else:
-        germs = ((member, _build_germ(cfg, L, _probe_window(cfg, eps),
+        windows = {eps: _probe_window(cfg, eps) for eps in cfg.eps_list}
+        germs = ((member, _build_germ(cfg, L, windows[eps],
                                       member_rng(cfg.seed, member), zero_initial))
                  for eps in cfg.eps_list for member in range(cfg.ensemble))
     reports = []

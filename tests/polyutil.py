@@ -1,16 +1,20 @@
 """Independent oracles for tests: small multivariate polynomial arithmetic, a
-brute-force weighted minimax fit, the neighbor form of the discrete Laplacian
-and the probe sides after a joint rescale."""
+brute-force weighted minimax fit, the neighbor form of the discrete Laplacian,
+the probe sides after a joint rescale and the absorption weights built and
+checked on ``Fraction``s."""
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from germcalc import ScaleMap, scale_germ, schauder_sides
+from germcalc import ScaleMap, Scaling, WeightSystem, scale_germ, schauder_sides
 from germcalc._minimax import weighted_lstsq
-from germcalc.errors import ValidationError
+from germcalc.coeff_bounds import first_differing_component
+from germcalc.errors import ValidationError, VerificationError
+from germcalc.geometry import MultiIndex, multi_indices
 
 
 class Poly:
@@ -72,60 +76,6 @@ class Poly:
             k2 = tuple(e - 1 if j == axis else e for j, e in enumerate(k))
             out[k2] = out.get(k2, 0.0) + v * k[axis]
         return Poly(self.d, out)
-
-    def shifted(self, center):
-        """Coefficients in powers of (z - center): substitute z = w + center."""
-        out = Poly(self.d, {})
-        for k, v in self.coeffs.items():
-            term = Poly.const(self.d, v)
-            for j, e in enumerate(k):
-                axis_poly = Poly(self.d, {tuple(1 if i == j else 0 for i in range(self.d)): 1.0,
-                                          (0,) * self.d: center[j]})
-                for _ in range(e):
-                    term = term * axis_poly
-            out = out + term
-        return out
-
-
-def falling_factorial_poly(d, gamma, center, steps):
-    """Product over axes of (z_j - center_j - m*h_j) for m < gamma_j."""
-    out = Poly.const(d, 1.0)
-    for j, g in enumerate(gamma):
-        for m in range(g):
-            out = out * Poly(d, {tuple(1 if i == j else 0 for i in range(d)): 1.0,
-                                 (0,) * d: -(center[j] + m * steps[j])})
-    return out
-
-
-def forward_difference_at(u_eval, x, gamma, steps):
-    """Iterated forward differences of a callable at a point (tiny stencils)."""
-    d = len(x)
-
-    def rec(g, base):
-        j = next((ax for ax in range(d) if g[ax] > 0), None)
-        if j is None:
-            return u_eval(np.asarray(base, dtype=float))
-        g2 = tuple(e - 1 if ax == j else e for ax, e in enumerate(g))
-        up = list(base)
-        up[j] += steps[j]
-        return (rec(g2, tuple(up)) - rec(g2, tuple(base))) / steps[j]
-
-    return rec(tuple(gamma), tuple(float(v) for v in x))
-
-
-def jet_poly(u_poly, x, order, scaling, eps):
-    """Discrete Taylor jet of a polynomial at x, as a polynomial."""
-    from germcalc.geometry import multi_indices
-
-    d = scaling.d
-    steps = [eps ** s for s in scaling.s]
-    out = Poly(d, {})
-    for g in multi_indices(scaling, order):
-        coef = forward_difference_at(lambda p: float(u_poly.eval(p[None, :])[0]),
-                                     x, g, steps)
-        fact = math.prod(math.factorial(e) for e in g)
-        out = out + falling_factorial_poly(d, g, x, steps) * (coef / fact)
-    return out
 
 
 def grid_minimax(Phi: np.ndarray, r: np.ndarray, w: np.ndarray,
@@ -190,3 +140,137 @@ def rescaled_sides(U, L, eta: float, alpha: float, R: float) -> dict:
     to unit grid scale."""
     Us = scale_germ(U, ScaleMap(U.scaling, (0.0,) * U.scaling.d, R))
     return schauder_sides(Us, L, eta, alpha)
+
+
+def reference_verify(system: WeightSystem) -> tuple[bool, float]:
+    """The absorption check by its definition, every term a product of
+    ``Fraction`` powers and every sum a ``Fraction`` sum."""
+    s = system.scaling.s
+    delta = Fraction(system.delta)
+    worst = Fraction(0)
+    ok = True
+    for g in system.indices:
+        total = Fraction(0)
+        for b in system.indices:
+            if b == g:
+                continue
+            term = (Fraction(system.kappa[b])
+                    * Fraction(system.eps_level[system.scaling.degree(b)])
+                    ** (system.scaling.degree(g) - system.scaling.degree(b)))
+            for j in range(len(s)):
+                term *= Fraction(system.rho[b][j]) ** (s[j] * (g[j] - b[j]))
+            total += term
+        cap = delta * Fraction(system.kappa[g])
+        if total > cap:
+            ok = False
+        if cap > 0:
+            worst = max(worst, total / cap)
+    return ok, float(worst)
+
+
+def _pow2_at_least(bound: Fraction) -> int:
+    k = 1
+    while k < bound:
+        k *= 2
+    return k
+
+
+def _int_root_at_least(bound: Fraction, q: int) -> int:
+    """Least integer r >= 1 with r**q >= bound: doubling, then bisection."""
+    n = math.ceil(bound)
+    if n <= 1:
+        return 1
+    hi = 2
+    while hi ** q < n:
+        hi *= 2
+    lo = hi // 2  # lo**q < n <= hi**q
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid ** q >= n:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def reference_construct_weights(scaling: Scaling, eta: float, delta: float) -> WeightSystem:
+    """``coeff_bounds.construct_weights`` as it was built on ``Fraction``s,
+    checked by ``reference_verify``."""
+    if not delta > 0:
+        raise ValidationError("delta must be positive")
+    A = multi_indices(scaling, eta)
+    if not A:
+        raise ValidationError("empty index set: eta is below every degree")
+    d = scaling.d
+    n = len(A)
+    kappa: dict[MultiIndex, int] = {}
+    eps_level: dict[int, int] = {}
+    rho: dict[MultiIndex, tuple[int, ...]] = {}
+    if n == 1:
+        kappa[A[0]] = 1
+        eps_level[scaling.degree(A[0])] = 1
+        rho[A[0]] = (1,) * d
+        return WeightSystem(scaling, eta, delta, tuple(A), kappa, eps_level, rho)
+
+    share = Fraction(delta) / (n - 1)
+    deg = {g: scaling.degree(g) for g in A}
+    levels = sorted({deg[g] for g in A})
+
+    def rho_pow(b: MultiIndex, expo: MultiIndex) -> Fraction:
+        out = Fraction(1)
+        for j in range(d):
+            out *= Fraction(rho[b][j]) ** (scaling.s[j] * expo[j])
+        return out
+
+    for level in levels:
+        level_indices = [g for g in A if deg[g] == level]
+        for pos, g in enumerate(level_indices):
+            earlier_same = level_indices[:pos]
+            # scalar weight: absorb every earlier index's term against g
+            bound = Fraction(1)
+            for b in A:
+                if deg[b] < level:
+                    term = (Fraction(kappa[b])
+                            * Fraction(eps_level[deg[b]]) ** (level - deg[b])
+                            * rho_pow(b, tuple(g[j] - b[j] for j in range(d))))
+                    bound = max(bound, term / share)
+            for b in earlier_same:
+                term = Fraction(kappa[b]) * rho_pow(b, tuple(g[j] - b[j] for j in range(d)))
+                bound = max(bound, term / share)
+            kappa[g] = _pow2_at_least(bound) if g != A[0] else 1
+
+            # vector weight: shrink g's own terms against earlier same-degree
+            rg = [1] * d
+            if earlier_same:
+                fdc = {b: first_differing_component(b, g) for b in earlier_same}
+                for ell in sorted(set(fdc.values()), reverse=True):
+                    for b, l0 in fdc.items():
+                        if l0 != ell:
+                            continue
+                        tail = Fraction(1)
+                        for j in range(ell + 1, d):
+                            tail *= Fraction(rg[j]) ** (scaling.s[j] * (b[j] - g[j]))
+                        q = scaling.s[ell] * (g[ell] - b[ell])
+                        need = (Fraction(kappa[g]) * tail
+                                / (share * Fraction(kappa[b])))
+                        rg[ell] = max(rg[ell], _int_root_at_least(need, q))
+            rho[g] = tuple(rg)
+
+        # level scale: absorb the finished level against all lower degrees
+        e = 1
+        for mu in level_indices:
+            for b in A:
+                if deg[b] >= level:
+                    continue
+                q = level - deg[b]
+                need = (Fraction(kappa[mu])
+                        * rho_pow(mu, tuple(b[j] - mu[j] for j in range(d)))
+                        / (share * Fraction(kappa[b])))
+                e = max(e, _int_root_at_least(need, q))
+        eps_level[level] = e
+
+    system = WeightSystem(scaling, eta, delta, tuple(A), kappa, eps_level, rho)
+    ok, worst = reference_verify(system)
+    if not ok:
+        raise VerificationError(f"constructed weights fail their own invariant (worst {worst})")
+    return system

@@ -1,4 +1,6 @@
 import json
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from germcalc import (Germ, Scaling, WeightSystem, jet_germ, load_germ, preset_operator,
                       save_germ)
 from germcalc.cli import main
+from germcalc.coeff_bounds import MAX_WEIGHT_WORK
 from germcalc.germs import Window, field_from_text, field_to_text
 
 from conftest import box
@@ -216,6 +219,35 @@ def test_kernel_window_cap_names_eta(capsys):
     for eta in ("40", "1e9"):
         code, _, err = run_cli(capsys, "liouville", "--preset", "laplacian", "--eta", eta)
         assert code == 1 and f"degree cutoff --eta {float(eta):g} " in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--scaling", "1", "--eta", "40.5", "--delta", "0.1"),
+    ("--scaling", "1", "--eta", "40.5", "--delta", "0.1", "--json"),
+    ("--scaling", "1,1,1", "--eta", "12.5", "--delta", "0.1"),
+    ("--scaling", "1", "--eta", "1e9", "--delta", "0.1"),
+])
+def test_weights_work_cap_names_eta(capsys, argv):
+    # refused before any weight is built, with the cutoff and the cap named
+    code, out, err = run_cli(capsys, "weights", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("germcalc: invalid input: --eta ") and err.count("\n") == 1
+    assert str(MAX_WEIGHT_WORK) in err
+
+
+def test_weights_print_past_the_integer_digit_limit(capsys):
+    # a tiny delta gives weights of more than 4,300 digits inside the cap;
+    # the interpreter's limit is lifted while they print, then put back
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for flag in ((), ("--json",)):
+            code, out, _ = run_cli(capsys, "weights", "--scaling", "1", "--eta", "5.5",
+                                   "--delta", "1e-300", *flag)
+            assert code == 0 and max(len(w) for w in re.split(r"\D+", out)) > 4300
+            assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_failed_self_check_exits_two(capsys, monkeypatch):

@@ -1,18 +1,14 @@
-import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from germcalc import (Germ, ScaleMap, Scaling, construct_weights, jet_germ,
-                      multi_indices, probe_coefficients, scale_germ)
+from germcalc import Scaling, construct_weights, multi_indices
 from germcalc import coeff_bounds
-from germcalc.coeff_bounds import _int_root_at_least, first_differing_component
-from germcalc.errors import DegenerateProbeError, ValidationError, WindowTooSmallError
-from germcalc.germs import Window
+from germcalc.coeff_bounds import (MAX_WEIGHT_WORK, _check_work, _int_root_at_least,
+                                   _weight_work, first_differing_component)
+from germcalc.errors import ValidationError
 
-from conftest import box
-from polyutil import Poly, jet_poly
+from polyutil import reference_construct_weights, reference_verify
 
 
 def test_index_set_ordering():
@@ -72,76 +68,6 @@ def test_weights_validation():
         construct_weights(Scaling((1,)), 1.0, 0.0)
 
 
-def test_probe_zero_germ():
-    s = Scaling((1, 1))
-    w = box(s, 1.0, 4)
-    U = Germ(w, w, np.zeros((w.npoints, w.npoints)))
-    rep = probe_coefficients(U, (0, 0), (1, 0), 1.5, 0.5)
-    assert all(abs(v) <= 1e-12 for v in rep.coefficients.values())
-    assert rep.residual <= 1e-12
-
-
-def test_probe_recovers_jet_difference():
-    s = Scaling((1, 1))
-    w = box(s, 1.0, 8)
-    pts = w.coords()
-    u_poly = Poly(2, {(0, 0): 0.7, (1, 0): -1.2, (0, 1): 2.0, (1, 1): 0.5,
-                      (2, 0): -0.3, (0, 2): 1.1})
-    u = u_poly.eval(pts).reshape(w.shape)
-    eta, alpha = 2.5, 0.5
-    U = jet_germ(u, w, math.floor(eta))
-    x_idx, y_idx = (1, 0), (0, 1)
-    rep = probe_coefficients(U, x_idx, y_idx, eta, alpha)
-    # independent oracle: the comparison polynomial is the jet difference
-    qx = jet_poly(u_poly, np.array([1.0, 0.0]), 2, s, 1.0)
-    qy = jet_poly(u_poly, np.array([0.0, 1.0]), 2, s, 1.0)
-    expect = (qy - qx).shifted(np.array([0.0, 1.0]))
-    for beta, nu in rep.coefficients.items():
-        want = expect.coeffs.get(beta, 0.0)
-        assert abs(nu - want) <= 1e-8 * max(1.0, abs(want))
-    assert rep.residual <= 1e-8
-    assert rep.condition < 1e9
-
-
-def test_probe_scaling_relation():
-    s = Scaling((1, 1))
-    w = box(s, 1.0, 8)
-    rng = np.random.default_rng(11)
-    u = rng.standard_normal(w.shape)
-    eta, alpha = 1.5, 0.5
-    U = jet_germ(u, w, 1)
-    x_idx, y_idx = (1, 0), (0, 0)
-    rep = probe_coefficients(U, x_idx, y_idx, eta, alpha)
-    # blow-up normalization: coefficients scale by R**(eta - |beta|) and the
-    # reported ratios are invariant
-    R = 2.0
-    # same index table on the coarser lattice, blown up by R**eta
-    V = scale_germ(U, ScaleMap(s, (0.0, 0.0), 1.0 / R)) * (R ** eta)
-    rep2 = probe_coefficients(V, x_idx, y_idx, eta, alpha)
-    for beta in rep.coefficients:
-        want = R ** (eta - s.degree(beta)) * rep.coefficients[beta]
-        assert abs(rep2.coefficients[beta] - want) <= 1e-9 * max(1.0, abs(want))
-        assert rep2.ratios[beta] == pytest.approx(rep.ratios[beta], rel=1e-9, abs=1e-12)
-
-
-def test_probe_window_too_small():
-    s = Scaling((1, 1))
-    w = box(s, 1.0, 3)
-    U = Germ(w, w, np.zeros((w.npoints, w.npoints)))
-    with pytest.raises(WindowTooSmallError):
-        probe_coefficients(U, (3, 3), (-3, -3), 1.5, 0.5)
-
-
-def test_probe_degenerate_weight_system():
-    s = Scaling((1,))
-    w = Window(s, 1.0, (-8,), (8,))
-    U = Germ(w, w, np.zeros((17, 17)))
-    system = construct_weights(s, 1.5, 10.0)  # loose target keeps all weights one
-    assert all(v == 1 for v in system.kappa.values())
-    with pytest.raises(DegenerateProbeError):
-        probe_coefficients(U, (1,), (0,), 1.5, 0.5, weights=system)
-
-
 from hypothesis import given, settings, strategies as st
 
 
@@ -190,3 +116,44 @@ def test_weights_match_linear_root_search(monkeypatch, s, eta):
     fast = construct_weights(Scaling(s), eta, 0.1).to_text()
     monkeypatch.setattr(coeff_bounds, "_int_root_at_least", _int_root_linear)
     assert construct_weights(Scaling(s), eta, 0.1).to_text() == fast
+
+
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=4),
+       st.one_of(st.integers(0, 12).map(lambda k: k / 2), st.floats(0.0, 6.0)),
+       st.sampled_from([1e-3, 0.1, 0.5, 10.0]))
+@settings(max_examples=40, deadline=None)
+def test_weights_match_fraction_reference(s, eta, delta):
+    scaling = Scaling(tuple(s))
+    system = construct_weights(scaling, eta, delta)
+    reference = reference_construct_weights(scaling, eta, delta)
+    assert system.to_text() == reference.to_text()
+    assert system.verify() == reference_verify(reference)
+
+
+SWEEP = ([(s, eta) for s in [(1,), (1, 1), (2, 1), (1, 2), (1, 1, 1), (2, 1, 1), (3, 1),
+                             (1, 1, 1, 1)]
+          for eta in (0.5, 1.5, 2.5, 3.5, 4.5, 5.5)]
+         + [((1, 1), 12.5), ((2, 1), 16.5), ((1,), 30.5)])
+
+
+@pytest.mark.parametrize("delta", [1e-3, 0.1, 0.5, 10.0])
+def test_work_cap_admits_the_sweep(delta):
+    for s, eta in SWEEP:
+        _check_work(Scaling(s), eta, delta)
+
+
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=4), st.floats(-1.0, 45.0),
+       st.sampled_from([1e-300, 1e-3, 0.1, 10.0, 1e9]))
+@settings(max_examples=150, deadline=None)
+def test_work_cap_counts_the_indices(s, eta, delta):
+    # the count the cap uses is the size of the index set, counted without
+    # enumerating it; enumerate only what the cap admits or nearly admits
+    scaling = Scaling(tuple(s))
+    try:
+        _check_work(scaling, eta, delta)
+        admitted = True
+    except ValidationError:
+        admitted = False
+    if admitted or eta < 16:
+        n = len(multi_indices(scaling, eta))
+        assert admitted == (_weight_work(scaling, n, eta, delta) <= MAX_WEIGHT_WORK)
