@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError, VerificationError
-from .geometry import MultiIndex, Scaling, multi_indices
+from .geometry import MultiIndex, Scaling, count_multi_indices, multi_indices
 
 # Cap on the predicted work of a weight system, checked before its index set
 # is enumerated.  With n indices and degree levels 0, g, ..., L g (g the gcd
@@ -169,17 +169,11 @@ def _weight_work(scaling: Scaling, n: int, eta: float, delta: float) -> float:
 
 def _check_work(scaling: Scaling, eta: float, delta: float) -> None:
     """Refuse a weight system whose predicted work passes ``MAX_WEIGHT_WORK``.
-    The indices along the lightest axis bound their count from below, so a
-    huge eta is refused before any index is counted."""
-    fits = _weight_work(scaling, eta // min(scaling.s) + 1, eta, delta) <= MAX_WEIGHT_WORK
-    if fits:
-        top = math.floor(eta)
-        ways = [1] + [0] * top  # ways[k]: the indices of weighted degree k
-        for w in scaling.s:
-            for k in range(w, top + 1):
-                ways[k] += ways[k - w]
-        fits = _weight_work(scaling, sum(ways), eta, delta) <= MAX_WEIGHT_WORK
-    if not fits:
+    The work of n indices is at least ``5 n**2``, so the count stops as soon
+    as it must pass the cap, and a huge eta is refused before any index is
+    counted."""
+    n = count_multi_indices(scaling, eta, math.isqrt(MAX_WEIGHT_WORK // 5))
+    if _weight_work(scaling, n, eta, delta) > MAX_WEIGHT_WORK:
         raise ValidationError(
             f"--eta {eta:g} is too large for grading {','.join(map(str, scaling.s))} at "
             f"delta {delta:g}: the weights' predicted work passes the cap {MAX_WEIGHT_WORK}")

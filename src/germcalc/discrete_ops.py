@@ -125,16 +125,6 @@ def _apply_stencils(L: DiffOperator, arr: np.ndarray, window: Window, lead: int)
     return out, out_win
 
 
-def adjoint(L: DiffOperator) -> DiffOperator:
-    """Adjoint for the bilinear lattice pairing: forward and backward swap,
-    with one sign per difference factor."""
-    terms = {}
-    for g, dl, a in L.terms:
-        sign = (-1) ** (sum(g) + sum(dl))
-        terms[(dl, g)] = terms.get((dl, g), 0j) + sign * a
-    return make_operator(L.scaling, terms)
-
-
 # ---------------------------------------------------------------------------
 # symbols
 

@@ -8,6 +8,7 @@ of dilations that stretch axis ``j`` by ``R**s[j]``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +104,25 @@ def multi_indices(scaling: Scaling, max_degree: float) -> list[MultiIndex]:
     return out
 
 
+def count_multi_indices(scaling: Scaling, max_degree: float, limit: float = math.inf) -> int:
+    """The number of multi-indices with weighted degree <= max_degree.
+
+    The indices along the lightest axis bound it from below; when that bound
+    passes ``limit`` it is returned instead, so a huge degree costs nothing.
+    """
+    if max_degree < 0:
+        return 0
+    low = int(max_degree // min(scaling.s)) + 1
+    if low > limit:
+        return low
+    top = math.floor(max_degree)
+    ways = [1] + [0] * top  # ways[k]: the indices of weighted degree k
+    for w in scaling.s:
+        for k in range(w, top + 1):
+            ways[k] += ways[k - w]
+    return sum(ways)
+
+
 @dataclass(frozen=True)
 class ScaleMap:
     """Recentering/dilation map ``y -> w + (R**s[1] y_1, ..., R**s[d] y_d)``."""
@@ -122,15 +142,3 @@ class ScaleMap:
         y = np.asarray(y, dtype=float)
         self.scaling.check_dim(y)
         return np.asarray(self.w) + self.scaling.dilate(self.R, y)
-
-    def inverse(self) -> "ScaleMap":
-        Rinv = 1.0 / self.R
-        w = -self.scaling.dilate(Rinv, np.asarray(self.w))
-        return ScaleMap(self.scaling, tuple(w), Rinv)
-
-
-def compose_scale(a: ScaleMap, b: ScaleMap) -> ScaleMap:
-    """Composition a o b, i.e. first apply b, then a."""
-    if a.scaling != b.scaling:
-        raise DimensionError("scale maps live over different gradings")
-    return ScaleMap(a.scaling, tuple(a(np.asarray(b.w))), a.R * b.R)

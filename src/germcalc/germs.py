@@ -349,40 +349,6 @@ def restrict_initial(U: Germ) -> Germ:
     return type(U)(base, active, v.reshape(base.npoints, active.npoints))
 
 
-@dataclass(frozen=True)
-class CenterReport:
-    centered: bool
-    worst: float
-    witness_base: tuple[int, ...] | None
-    witness_gamma: MultiIndex | None
-
-
-def center_check(U: Germ, eta: float) -> CenterReport:
-    """Check ``D^gamma U_x (x) = 0``, to 1e-10, for all weighted degrees <= eta.
-
-    Only base points whose forward stencils stay inside the active window are
-    tested.  Differences act on the active variable, per fixed base point.
-    """
-    act = U.active
-    D = forward_differences(U.values.reshape((U.base.npoints,) + act.shape), act, 1)
-    base_idx = U.base.indices()
-    pos = base_idx - np.array(act.lo)  # table position of each base point
-    worst = 0.0
-    wit_x = None
-    wit_g = None
-    for g in multi_indices(U.scaling, eta):
-        rows = np.nonzero(np.all((pos >= 0) & (base_idx + g <= act.hi), axis=1))[0]
-        if rows.size == 0:
-            continue
-        viol = np.abs(D(g)[(rows,) + tuple(pos[rows].T)])
-        i = int(np.argmax(viol))
-        if viol[i] > worst:
-            worst = float(viol[i])
-            wit_x = tuple(base_idx[rows[i]])
-            wit_g = g
-    return CenterReport(worst <= 1e-10, worst, wit_x, wit_g)
-
-
 # ---------------------------------------------------------------------------
 # plain-text germ interchange format
 

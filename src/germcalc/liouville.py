@@ -1,26 +1,32 @@
 """Brute-force rigidity checks behind the blow-up arguments.
 
 Three computable shadows of the Liouville-type classification: the polynomial
-kernel of a difference operator at a degree cutoff (null-space linear
-algebra), nonsingularity of the centered-derivative system on polynomials
-(triangular in the falling-factorial basis), and a search for nonzero
+kernel of a difference operator at a degree cutoff and nonsingularity of the
+centered-derivative system on polynomials, both decided exactly by one
+falling-factorial calculus in lattice units, and a search for nonzero
 dual-torus symbol zeros, each certified by constructing the corresponding
 bounded exponential solution.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .discrete_ops import DiffOperator, apply_to_field, dual_torus_bounds, lattice_symbol_zeros
-from .errors import ValidationError, VerificationError
-from .geometry import MultiIndex, Scaling, multi_indices
-from .germs import (MAX_POINTS_PER_AXIS, Window, difference_coefficients, falling_factorial,
-                    jet_margins)
+from .errors import ValidationError
+from .geometry import MultiIndex, Scaling, count_multi_indices, multi_indices
+from .germs import Window
 
-_SVD_CUTOFF = 1e-10
+#: Cap on the monomials of a polynomial kernel, checked before they are listed;
+#: every preset in one to five dimensions takes about 2 s or less at the cap.
+MAX_KERNEL_MONOMIALS = 500
 
 
 @dataclass(frozen=True)
@@ -41,127 +47,162 @@ class KernelBasis:
     def dimension(self) -> int:
         return self.vectors.shape[0]
 
-    def evaluate(self, vector_idx: int, pts: np.ndarray) -> np.ndarray:
-        """Evaluate one kernel element at physical lattice points."""
-        offsets = np.atleast_2d(pts).T
-        steps = [self.eps ** s for s in self.operator.scaling.s]
-        out = np.zeros(offsets.shape[1], dtype=complex)
-        for c, g in zip(self.vectors[vector_idx], self.gammas):
-            if c != 0:
-                out = out + c * falling_factorial(offsets, steps, g)
-        return out
 
-    def contains(self, coeffs) -> bool:
-        """Whether a coefficient vector lies in the span of the basis, to a
-        relative residual of 1e-8."""
-        v = np.asarray(coeffs, dtype=complex)
-        nrm = np.linalg.norm(v)
-        if nrm == 0:
-            return True
-        if self.dimension == 0:
-            return False
-        sol, *_ = np.linalg.lstsq(self.vectors.T, v, rcond=None)
-        return bool(np.linalg.norm(self.vectors.T @ sol - v) <= 1e-8 * nrm)
+class _GaussInt(NamedTuple):
+    """A Gaussian integer, for the action rows of a complex operator; real
+    operators use ``int``, which has the same ``real``, ``imag`` and
+    ``conjugate``.  A ``_GaussInt`` is the left operand of every sum."""
 
+    real: int
+    imag: int
 
-def _determination_hi(L: DiffOperator, eta: float) -> tuple[int, ...]:
-    # Upper corner of the determination window (the lower one is the origin).
-    # A polynomial of weighted degree <= eta is pinned down by its jet stencil
-    # plus one point per axis; the operator stencil consumes f_j + b_j points,
-    # and the room left for it, at least m + 1, keeps them all.
-    fwd, bwd = L.stencil_reach()
-    return tuple(r + max(L.order + 1, f + b)
-                 for r, f, b in zip(jet_margins(L.scaling, eta), fwd, bwd))
+    def __mul__(self, o):
+        return _GaussInt(self.real * o.real - self.imag * o.imag,
+                         self.real * o.imag + self.imag * o.real)
+
+    __rmul__ = __mul__
+
+    def __add__(self, o):
+        return _GaussInt(self.real + o.real, self.imag + o.imag)
+
+    def __bool__(self):
+        return bool(self.real or self.imag)
+
+    def __floordiv__(self, k: int):
+        return _GaussInt(self.real // k, self.imag // k)
+
+    def conjugate(self):
+        return _GaussInt(self.real, -self.imag)
 
 
-def _monomial_fields(gammas, win: Window) -> list[np.ndarray]:
-    offsets = win.coords().T
-    return [falling_factorial(offsets, win.steps, g).reshape(win.shape) for g in gammas]
+def _integer_terms(L: DiffOperator):
+    """The operator's terms with their coefficients over one common
+    denominator: Gaussian integers, or plain integers when all are real."""
+    parts = [(Fraction(a.real), Fraction(a.imag)) for _, _, a in L.terms]
+    den = math.lcm(*(x.denominator for pair in parts for x in pair))
+    real = all(im == 0 for _, im in parts)
+    return [(g, b, int(re * den) if real else _GaussInt(int(re * den), int(im * den)))
+            for (g, b, _), (re, im) in zip(L.terms, parts)]
+
+
+def _axis_image(n: int, b: int, r: int) -> list[tuple[int, int]]:
+    """``Delta^r k^(n)`` shifted down by b, on one axis, in falling factorials:
+    ``n!/(n-r)! (k-b)^(q)`` with ``q = n - r`` and, by Vandermonde's identity,
+    ``(k-b)^(q) = sum_i C(q, i) (-b)^(q-i) k^(i)``; (power, integer) pairs."""
+    out, q, c = [], n - r, math.perm(n, r)
+    for t in range(q + 1):  # c = n!/(n-r)! C(q, t) (-b)^(t), at power q - t
+        if not c:
+            break
+        out.append((q - t, c))
+        c = c * (q - t) * (-b - t) // (t + 1)
+    return out
+
+
+def _action_rows(terms, gammas) -> dict[MultiIndex, dict]:
+    """The action of ``sum c D^g Dbar^b`` on the falling factorials
+    ``k^(gamma)`` in lattice units, where ``D^g Dbar^b`` is ``Delta^(g+b)``
+    shifted down by b: a sparse row ``{column: coefficient}`` per output."""
+    rows: dict[MultiIndex, dict] = {}
+    image = functools.cache(_axis_image)
+    for col, n in enumerate(gammas):
+        for g, b, c in terms:
+            axes = [image(nj, bj, gj + bj) for nj, gj, bj in zip(n, g, b)]
+            for parts in itertools.product(*axes):
+                row = rows.setdefault(tuple(i for i, _ in parts), {})
+                row[col] = c * math.prod(v for _, v in parts) + row.get(col, 0)
+    return {k: {j: v for j, v in row.items() if v} for k, row in rows.items()}
+
+
+def _reduce(row: dict, pivot: dict, col: int) -> dict:
+    """``row`` with its entry at ``col`` eliminated by cross-multiplying with
+    ``pivot``, divided by its integer content."""
+    p, x = pivot[col], row[col] * -1
+    out = {j: p * v for j, v in row.items()}
+    for j, v in pivot.items():
+        out[j] = x * v + out.get(j, 0)
+    out = {j: v for j, v in out.items() if v}
+    content = math.gcd(*[v.real for v in out.values()], *[v.imag for v in out.values()])
+    return {j: v // content for j, v in out.items()} if content > 1 else out
+
+
+def _eliminate(rows: list[dict], n: int) -> dict[int, dict]:
+    """Gauss-Jordan elimination of integer (or Gaussian integer) rows over n
+    columns, column by column; returns the pivot rows by pivot column, each
+    zero at every other pivot column."""
+    pivots: dict[int, dict] = {}
+    for col in range(n):
+        pick = next((i for i, r in enumerate(rows) if col in r), None)
+        if pick is not None:
+            pivot = rows[pick]
+            rows = [_reduce(r, pivot, col) if col in r else r for r in rows if r is not pivot]
+            pivots = {c: _reduce(r, pivot, col) if col in r else r for c, r in pivots.items()}
+            pivots[col] = pivot
+    return pivots
 
 
 def polynomial_kernel(L: DiffOperator, eps: float, eta: float) -> KernelBasis:
     """Null space of the operator on polynomials of weighted degree <= eta.
 
-    The action of a homogeneous operator on a polynomial is again a
-    polynomial, so vanishing on the determination window forces vanishing
-    everywhere.  Singular values up to the round-off of the stencil sums,
-    ``coeff_scale * eps**-m`` times the largest monomial value on the window,
-    count as zero; the largest singular value is no scale for this, as it is
-    itself round-off when every monomial is annihilated.
+    In lattice units ``x_j = k_j eps**s_j`` the monomial ``gamma`` is
+    ``eps**|gamma|`` times the integer falling factorial ``k^(gamma)``, and the
+    operator is ``eps**-m`` times an eps-free integer stencil.  So the null
+    space is exact: one vector per free column f, with entry 1 at f and
+    ``-row[f] / row[c]`` at the pivot column c of each row, then column
+    ``gamma`` times ``eps**(|f| - |gamma|)``, which keeps the 1 at every eps.
     """
     if eta < 0:
         raise ValueError("degree cutoff must be >= 0")
     scaling = L.scaling
-    hi = _determination_hi(L, eta)
-    # the annihilation check pads the determination window by one point a side
-    points = max(hi) + 3
-    if points > MAX_POINTS_PER_AXIS:
+    count = count_multi_indices(scaling, eta, MAX_KERNEL_MONOMIALS)
+    if count > MAX_KERNEL_MONOMIALS:
         raise ValidationError(
-            f"degree cutoff --eta {eta:g} needs a determination window of {points} points "
-            f"on an axis with its check margin; at most {MAX_POINTS_PER_AXIS} points are allowed")
-    win = Window(scaling, eps, (0,) * scaling.d, hi)
+            f"degree cutoff --eta {eta:g} spans at least {count} monomials; "
+            f"at most {MAX_KERNEL_MONOMIALS} are allowed")
     gammas = tuple(multi_indices(scaling, eta))
-    fields = _monomial_fields(gammas, win)
-    cols = []
-    for f in fields:
-        vals, _ = apply_to_field(L, f, win)
-        cols.append(np.asarray(vals, dtype=complex).ravel())
-    cutoff = (_SVD_CUTOFF * L.coeff_scale() * eps ** (-L.order)
-              * max(float(np.max(np.abs(f))) for f in fields))
-    A = np.stack(cols, axis=1)
-    if np.iscomplexobj(A) and np.all(A.imag == 0):
-        A = A.real
-    # null vectors of A are the conjugated rows of Vh (A = U S Vh)
-    U_, sv, Vh = np.linalg.svd(A, full_matrices=True)
-    smax = sv[0] if sv.size else 0.0
-    if smax == 0:
-        vectors = np.eye(len(gammas))
-    else:
-        null_rows = [Vh[i].conj() for i in range(Vh.shape[0])
-                     if i >= sv.size or sv[i] <= cutoff]
-        vectors = (np.stack(null_rows) if null_rows
-                   else np.zeros((0, len(gammas))))
-    basis = KernelBasis(L, eps, eta, gammas, vectors)
-    _verify_annihilated(basis)
-    return basis
+    degrees = [scaling.degree(g) for g in gammas]
+    pivots = _eliminate(list(_action_rows(_integer_terms(L), gammas).values()), len(gammas))
+    free = [f for f in range(len(gammas)) if f not in pivots]
+    re = np.zeros((len(free), len(gammas)))
+    im = np.zeros_like(re)
+    for i, f in enumerate(free):
+        re[i, f] = 1.0
+        for c, r in pivots.items():
+            if f in r:
+                num, den = r[f] * r[c].conjugate(), (r[c] * r[c].conjugate()).real
+                scale = eps ** (degrees[f] - degrees[c])
+                re[i, c] = float(Fraction(-num.real, den)) * scale
+                im[i, c] = float(Fraction(-num.imag, den)) * scale
+    return KernelBasis(L, eps, eta, gammas, re + 1j * im if np.any(im) else re)
 
 
-def _verify_annihilated(basis: KernelBasis, tol: float = 1e-10) -> None:
-    L = basis.operator
-    test = Window(L.scaling, basis.eps, (-1,) * L.d,
-                  tuple(h + 1 for h in _determination_hi(L, basis.eta)))
-    for i in range(basis.dimension):
-        f = basis.evaluate(i, test.coords()).reshape(test.shape)
-        if np.all(f.imag == 0):
-            f = f.real
-        vals, _ = apply_to_field(L, f, test)
-        scale = max(1.0, float(np.max(np.abs(f))))
-        resid = float(np.max(np.abs(vals)))
-        if resid > tol * scale:
-            raise VerificationError(f"kernel element {i} is not annihilated on the test window "
-                                    f"(residual {resid / scale:.2g} of its scale > {tol:g})")
+def _centered_rows(scaling: Scaling, gammas) -> list[dict]:
+    # row i: D^gamma_i of each monomial at the origin, in lattice units
+    zero = (0,) * scaling.d
+    return [_action_rows([(g, zero, 1)], gammas).get(zero, {}) for g in gammas]
 
 
 def rigidity_matrix(scaling: Scaling, eps: float, eta: float) -> np.ndarray:
     """Matrix of centered forward-difference values: entry (i, j) is
-    D^gamma_i applied to the j-th falling-factorial monomial, at the origin."""
+    D^gamma_i applied to the j-th falling-factorial monomial, at the origin.
+
+    In lattice units that is ``gamma_j!/(gamma_j - gamma_i)! k^(gamma_j -
+    gamma_i)`` at k = 0, times ``eps**(|gamma_j| - |gamma_i|)``: the matrix
+    is ``diag(gamma!)`` at every eps."""
     gammas = multi_indices(scaling, eta)
-    win = Window(scaling, eps, (0,) * scaling.d,
-                 tuple(max(r, 0) for r in jet_margins(scaling, eta)))
-    origin = Window(scaling, eps, (0,) * scaling.d, (0,) * scaling.d)
+    degrees = [scaling.degree(g) for g in gammas]
     T = np.zeros((len(gammas), len(gammas)))
-    for j, f in enumerate(_monomial_fields(gammas, win)):
-        coeffs = difference_coefficients(f, win, gammas, origin)
-        T[:, j] = [coeffs[g][0] for g in gammas]
+    for i, row in enumerate(_centered_rows(scaling, gammas)):
+        for j, v in row.items():
+            T[i, j] = v * eps ** (degrees[j] - degrees[i])
     return T
 
 
 def centered_rigidity_check(scaling: Scaling, eps: float, eta: float) -> bool:
     """True when vanishing centered differences up to degree eta force a
-    polynomial of that degree to vanish (the system is nonsingular)."""
-    T = rigidity_matrix(scaling, eps, eta)
-    sv = np.linalg.svd(T, compute_uv=False)
-    return bool(sv.size and sv[-1] > _SVD_CUTOFF * sv[0])
+    polynomial of that degree to vanish: every column is a pivot.  The
+    lattice-unit rows do not depend on eps."""
+    gammas = multi_indices(scaling, eta)
+    return len(_eliminate(_centered_rows(scaling, gammas), len(gammas))) == len(gammas)
 
 
 @dataclass(frozen=True)

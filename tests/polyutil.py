@@ -1,20 +1,24 @@
 """Independent oracles for tests: small multivariate polynomial arithmetic, a
 brute-force weighted minimax fit, the neighbor form of the discrete Laplacian,
-the probe sides after a joint rescale and the absorption weights built and
-checked on ``Fraction``s."""
+the probe sides after a joint rescale, the centering check of a germ, the
+composition of scale maps, kernel elements evaluated in floats and the
+absorption weights built and checked on ``Fraction``s."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from germcalc import ScaleMap, Scaling, WeightSystem, scale_germ, schauder_sides
+from germcalc import Germ, ScaleMap, Scaling, WeightSystem, scale_germ, schauder_sides
 from germcalc._minimax import weighted_lstsq
 from germcalc.coeff_bounds import first_differing_component
-from germcalc.errors import ValidationError, VerificationError
+from germcalc.errors import DimensionError, ValidationError, VerificationError
 from germcalc.geometry import MultiIndex, multi_indices
+from germcalc.germs import falling_factorial, forward_differences
+from germcalc.liouville import KernelBasis
 
 
 class Poly:
@@ -140,6 +144,71 @@ def rescaled_sides(U, L, eta: float, alpha: float, R: float) -> dict:
     to unit grid scale."""
     Us = scale_germ(U, ScaleMap(U.scaling, (0.0,) * U.scaling.d, R))
     return schauder_sides(Us, L, eta, alpha)
+
+
+@dataclass(frozen=True)
+class CenterReport:
+    centered: bool
+    worst: float
+    witness_base: tuple[int, ...] | None
+    witness_gamma: MultiIndex | None
+
+
+def center_check(U: Germ, eta: float) -> CenterReport:
+    """Check ``D^gamma U_x (x) = 0``, to 1e-10, for all weighted degrees <= eta.
+
+    Only base points whose forward stencils stay inside the active window are
+    tested.  Differences act on the active variable, per fixed base point.
+    """
+    act = U.active
+    D = forward_differences(U.values.reshape((U.base.npoints,) + act.shape), act, 1)
+    base_idx = U.base.indices()
+    pos = base_idx - np.array(act.lo)  # table position of each base point
+    worst = 0.0
+    wit_x = None
+    wit_g = None
+    for g in multi_indices(U.scaling, eta):
+        rows = np.nonzero(np.all((pos >= 0) & (base_idx + g <= act.hi), axis=1))[0]
+        if rows.size == 0:
+            continue
+        viol = np.abs(D(g)[(rows,) + tuple(pos[rows].T)])
+        i = int(np.argmax(viol))
+        if viol[i] > worst:
+            worst = float(viol[i])
+            wit_x = tuple(base_idx[rows[i]])
+            wit_g = g
+    return CenterReport(worst <= 1e-10, worst, wit_x, wit_g)
+
+
+def compose_scale(a: ScaleMap, b: ScaleMap) -> ScaleMap:
+    """Composition a o b, i.e. first apply b, then a."""
+    if a.scaling != b.scaling:
+        raise DimensionError("scale maps live over different gradings")
+    return ScaleMap(a.scaling, tuple(a(np.asarray(b.w))), a.R * b.R)
+
+
+def kernel_element(basis: KernelBasis, i: int, pts: np.ndarray) -> np.ndarray:
+    """Kernel element i at physical lattice points, summed in floats."""
+    offsets = np.atleast_2d(pts).T
+    steps = [basis.eps ** s for s in basis.operator.scaling.s]
+    out = np.zeros(offsets.shape[1], dtype=complex)
+    for c, g in zip(basis.vectors[i], basis.gammas):
+        if c != 0:
+            out = out + c * falling_factorial(offsets, steps, g)
+    return out
+
+
+def in_kernel_span(basis: KernelBasis, coeffs) -> bool:
+    """Whether a coefficient vector lies in the span of the basis, to a
+    relative least-squares residual of 1e-8."""
+    v = np.asarray(coeffs, dtype=complex)
+    nrm = np.linalg.norm(v)
+    if nrm == 0:
+        return True
+    if basis.dimension == 0:
+        return False
+    sol, *_ = np.linalg.lstsq(basis.vectors.T, v, rcond=None)
+    return bool(np.linalg.norm(basis.vectors.T @ sol - v) <= 1e-8 * nrm)
 
 
 def reference_verify(system: WeightSystem) -> tuple[bool, float]:

@@ -9,6 +9,7 @@ from germcalc import (Germ, Scaling, WeightSystem, jet_germ, load_germ, preset_o
                       save_germ)
 from germcalc.cli import main
 from germcalc.coeff_bounds import MAX_WEIGHT_WORK
+from germcalc.liouville import MAX_KERNEL_MONOMIALS
 from germcalc.germs import Window, field_from_text, field_to_text
 
 from conftest import box
@@ -130,6 +131,18 @@ def test_liouville_command(capsys):
     assert rec["zeros"] == []
 
 
+def test_liouville_high_degree_in_one_dimension(capsys):
+    # the 1D Laplacian's kernel is span{1, x} at every degree cutoff
+    for eta in ("9.5", "30.5"):
+        code, out, _ = run_cli(capsys, "liouville", "--preset", "laplacian", "--dim", "1",
+                               "--eta", eta, "--eps", "0.37", "--json")
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["dimension"] == 2
+        top = int(float(eta))
+        assert rec["vectors"] == [[1.0] + [0.0] * top, [0.0, 1.0] + [0.0] * (top - 1)]
+
+
 def test_weights_command(capsys):
     code, out, _ = run_cli(capsys, "weights", "--scaling", "2,1", "--eta", "3.5",
                            "--delta", "0.1")
@@ -200,8 +213,8 @@ def test_probe_window_too_large_exits_one(capsys):
      "--holder-const"),
     (("probe", "--scaling", "1", "--window", "4", "--eps", "inf"), "grid scales"),
     (("probe", "--scaling", "1", "--window", "4", "--eps", "nan"), "grid scales"),
-    (("liouville", "--preset", "laplacian", "--eta", "40"), "33 points"),
-    (("liouville", "--preset", "laplacian", "--eta", "1e9"), "33 points"),
+    (("liouville", "--preset", "laplacian", "--eta", "40"), "monomials"),
+    (("liouville", "--preset", "laplacian", "--eta", "1e9"), "monomials"),
     # rejected before the scan grid is allocated
     (("ellipticity", "--preset", "laplacian", "--resolution", "100000000"), "scan points"),
     (("liouville", "--preset", "laplacian", "--eta", "1", "--zero-search",
@@ -215,10 +228,12 @@ def test_malformed_number_flags_exit_one(tmp_path, capsys, argv, what):
 
 
 def test_kernel_window_cap_names_eta(capsys):
-    # the determination window over the cap is blamed on the degree cutoff
+    # a monomial count over the cap is blamed on the degree cutoff, and the
+    # cap is named; 1e9 is refused before any monomial is counted
     for eta in ("40", "1e9"):
         code, _, err = run_cli(capsys, "liouville", "--preset", "laplacian", "--eta", eta)
         assert code == 1 and f"degree cutoff --eta {float(eta):g} " in err
+        assert f"at most {MAX_KERNEL_MONOMIALS} are allowed" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -251,19 +266,14 @@ def test_weights_print_past_the_integer_digit_limit(capsys):
 
 
 def test_failed_self_check_exits_two(capsys, monkeypatch):
-    # at this cutoff, round-off in the SVD null vectors fails the kernel's
-    # 1e-10 annihilation check: a computation error, reported in one line
-    code, out, err = run_cli(capsys, "liouville", "--preset", "laplacian", "--dim", "1",
-                             "--eta", "9.5")
-    assert code == 2 and out == ""
-    assert err.startswith("germcalc: VerificationError: kernel element")
-    assert err.count("\n") == 1 and "Traceback" not in err
+    # weights that fail their own invariant are a computation error,
+    # reported in one line
     monkeypatch.setattr(WeightSystem, "verify", lambda self: (False, 2.0))
     code, out, err = run_cli(capsys, "weights", "--scaling", "2,1", "--eta", "3.5",
                              "--delta", "0.1")
     assert code == 2 and out == ""
     assert err.startswith("germcalc: VerificationError: constructed weights")
-    assert err.count("\n") == 1
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_malformed_scaling_exits_one(capsys):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from germcalc import (Scaling, adjoint, apply_to_field, apply_to_germ,
+from germcalc import (Scaling, apply_to_field, apply_to_germ,
                       continuum_symbol, discrete_monomial, discrete_symbol,
                       is_discretely_elliptic, make_operator, monomial_diff_rule_check,
                       multi_indices, operator_from_text, operator_to_text,
@@ -61,33 +61,6 @@ def test_laplacian_equals_neighbor_form(rng):
             a, _ = apply_to_field(L, f, w)
             b, _ = laplacian_neighbor_form(f, w)
             assert np.max(np.abs(a - b)) <= 1e-13 * max(1.0, float(np.max(np.abs(b))))
-
-
-def test_adjoint_laplacian_self_adjoint():
-    L = preset_operator("laplacian", 2)
-    assert adjoint(L).terms == L.terms
-    assert adjoint(adjoint(preset_operator("heat", 2))).terms == preset_operator("heat", 2).terms
-
-
-def test_adjoint_pairing_identity(rng):
-    for name in ("laplacian", "heat", "cauchy-riemann", "eps-degenerate"):
-        L = preset_operator(name, 2)
-        Ls = adjoint(L)
-        w = box(L.scaling, 0.5, 6)
-        fwd, bwd = L.stencil_reach()
-        pad = tuple(max(f, b) + 1 for f, b in zip(fwd, bwd))
-        f = np.zeros(w.shape, dtype=complex)
-        g = np.zeros(w.shape, dtype=complex)
-        core = tuple(slice(3, s - 3) for s in w.shape)
-        f[core] = rng.standard_normal(f[core].shape) + 1j * rng.standard_normal(f[core].shape)
-        g[core] = rng.standard_normal(g[core].shape)
-        Lf, wf = apply_to_field(L, f, w)
-        Lsg, wg = apply_to_field(Ls, g, w)
-        sel_f = tuple(slice(wf.lo[j] - w.lo[j], wf.hi[j] - w.lo[j] + 1) for j in range(2))
-        sel_g = tuple(slice(wg.lo[j] - w.lo[j], wg.hi[j] - w.lo[j] + 1) for j in range(2))
-        lhs = pairing(Lf, g[sel_f], w.eps, L.scaling)
-        rhs = pairing(f[sel_g], Lsg, w.eps, L.scaling)
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
 def test_symbols_trivial_values():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from germcalc import ScaleMap, Scaling, compose_scale, multi_indices
+from germcalc import ScaleMap, Scaling, multi_indices
+from germcalc.geometry import count_multi_indices
 from germcalc.errors import DimensionError
 
 
@@ -35,28 +36,6 @@ def test_scale_point_examples():
     assert np.allclose(m((1.0, 1.0)), (5.0, 3.0))
 
 
-def test_compose_example():
-    s = Scaling((2, 1))
-    a = ScaleMap(s, (0.0, 0.0), 2.0)
-    b = ScaleMap(s, (1.0, 0.0), 3.0)
-    c = compose_scale(a, b)
-    assert c.w == (4.0, 0.0) and c.R == 6.0
-    ident = ScaleMap(s, (0.0, 0.0), 1.0)
-    cc = compose_scale(ident, ident)
-    assert cc.w == (0.0, 0.0) and cc.R == 1.0
-
-
-def test_invert_round_trip(rng):
-    s = Scaling((2, 1, 3))
-    for _ in range(100):
-        m = ScaleMap(s, tuple(rng.standard_normal(3)), float(rng.uniform(0.2, 5)))
-        y = rng.standard_normal(3)
-        assert np.max(np.abs(m.inverse()(m(y)) - y)) < 1e-12
-        both = compose_scale(m, m.inverse())
-        assert np.max(np.abs(np.asarray(both.w))) < 1e-12
-        assert abs(both.R - 1) < 1e-12
-
-
 def test_distance_covariance(rng):
     for s in (Scaling((1, 1)), Scaling((2, 1)), Scaling((3, 1, 2))):
         for _ in range(50):
@@ -66,18 +45,6 @@ def test_distance_covariance(rng):
             lhs = s.distance(m(x), m(y))
             rhs = m.R * s.distance(x, y)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, rhs)
-
-
-def test_compose_associative(rng):
-    s = Scaling((2, 1))
-    for _ in range(50):
-        maps = [ScaleMap(s, tuple(rng.standard_normal(2)), float(rng.uniform(0.3, 3)))
-                for _ in range(3)]
-        a, b, c = maps
-        lhs = compose_scale(compose_scale(a, b), c)
-        rhs = compose_scale(a, compose_scale(b, c))
-        assert abs(lhs.R - rhs.R) < 1e-12
-        assert np.max(np.abs(np.asarray(lhs.w) - np.asarray(rhs.w))) < 1e-12
 
 
 @given(st.lists(st.integers(0, 6), min_size=2, max_size=2),
@@ -114,3 +81,16 @@ def test_pairwise_distance_matches_scalar(rng):
     for i in range(6):
         for j in range(5):
             assert D[i, j] == pytest.approx(s.distance(X[i], Y[j]), abs=1e-14)
+
+
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=4),
+       st.floats(0, 12, allow_nan=False))
+@settings(max_examples=100, deadline=None)
+def test_count_multi_indices(weights, max_degree):
+    s = Scaling(tuple(weights))
+    n = len(multi_indices(s, max_degree))
+    assert count_multi_indices(s, max_degree) == n
+    # past the limit, the lightest axis's indices stand in for the count
+    low = int(max_degree // min(weights)) + 1
+    assert count_multi_indices(s, max_degree, limit=low - 1) == low
+    assert count_multi_indices(s, 1e300, limit=10) > 10

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from germcalc import (DistGerm, Germ, ScaleMap, Scaling, center_check, compose_scale,
-                      frozen_coefficient_germ, germ_from_text, germ_to_text, jet_germ,
-                      multi_indices, restrict_initial, scale_germ)
+from germcalc import (DistGerm, Germ, ScaleMap, Scaling, frozen_coefficient_germ,
+                      germ_from_text, germ_to_text, jet_germ, multi_indices, restrict_initial,
+                      scale_germ)
 from germcalc.errors import (BoundaryError, DimensionError, DomainTooSmallError,
                              LatticeCompatibilityError)
 from germcalc.germs import (Window, difference_coefficients, falling_factorial,
                             field_from_text, field_to_text)
 
 from conftest import box, random_germ
+from polyutil import center_check, compose_scale
 
 
 def test_window_basics():
