@@ -4,9 +4,8 @@ from .geometry import MultiIndex, ScaleMap, Scaling, multi_indices
 from .germs import (DistGerm, Germ, Window, frozen_coefficient_germ, germ_from_text,
                     germ_to_text, jet_germ, load_germ, restrict_initial, save_germ, scale_germ)
 from .discrete_ops import (DiffOperator, EllipticityReport, apply_to_field, apply_to_germ,
-                           continuum_symbol, discrete_monomial, discrete_symbol,
-                           is_discretely_elliptic, load_operator, make_operator,
-                           monomial_diff_rule_check, operator_from_text, operator_to_text,
+                           continuum_symbol, discrete_symbol, is_discretely_elliptic,
+                           load_operator, make_operator, operator_from_text, operator_to_text,
                            preset_operator)
 from .norms import (NormReport, TestFunctionFamily, build_default_family, lambda_grid,
                     mcshane_extend, norm_G_eta, reevaluate_report,

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ValidationError, VerificationError
 from .geometry import MultiIndex, Scaling, count_multi_indices, multi_indices
@@ -65,13 +64,6 @@ class WeightSystem:
     kappa: dict
     eps_level: dict
     rho: dict
-
-    def cross_term(self, beta: MultiIndex, gamma: MultiIndex) -> Fraction:
-        """The term of ``beta`` against ``gamma``, exactly."""
-        s = self.scaling
-        return Fraction(*_split(self.kappa[beta], (
-            (self.eps_level[s.degree(beta)], s.degree(gamma) - s.degree(beta)),
-            *((r, sj * (g - b)) for r, sj, g, b in zip(self.rho[beta], s.s, gamma, beta)))))
 
     def verify(self) -> tuple[bool, float]:
         """Exact check of the absorption inequality; returns the worst ratio

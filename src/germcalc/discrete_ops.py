@@ -3,9 +3,8 @@
 Operators are finite sums ``a[gamma, delta] D^gamma Dbar^delta`` of forward
 and backward differences, scaling-homogeneous of a fixed weighted order.
 Alongside application to fields and germs, this module evaluates the lattice
-(dual-torus) and continuum symbols, classifies ellipticity by symbol scans,
-and checks that the falling-factorial monomials of ``germs`` diagonalize the
-forward differences.
+(dual-torus) and continuum symbols and classifies ellipticity by symbol
+scans, which run on the eps-1 lattice symbol over the unit torus.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from ._nelder_mead import nelder_mead
 from .errors import DimensionError, ValidationError
 from .geometry import MultiIndex, Scaling
 from .germs import (DistGerm, Germ, Window, _key_values, _line_errors, _number, _text_rows,
-                    difference_coefficients, falling_factorial, forward_differences)
+                    forward_differences)
 
 Term = tuple[MultiIndex, MultiIndex, complex]
 
@@ -129,10 +128,6 @@ def _apply_stencils(L: DiffOperator, arr: np.ndarray, window: Window, lead: int)
 # symbols
 
 
-def dual_torus_bounds(scaling: Scaling, eps: float) -> tuple[float, ...]:
-    return tuple(math.pi * eps ** (-s) for s in scaling.s)
-
-
 def _frequency_columns(L: DiffOperator, freq):
     """Per-axis components of the frequencies and a zero accumulator.
 
@@ -167,33 +162,35 @@ def continuum_symbol(L: DiffOperator, xi) -> complex | np.ndarray:
 
 
 def discrete_symbol(L: DiffOperator, eps: float, theta) -> complex | np.ndarray:
-    """Dual-torus symbol built from the forward/backward difference factors
-    ``eps**-s_j (exp(i eps**s_j theta_j) - 1)`` and its reflected conjugate."""
+    """Dual-torus symbol at grid scale eps: ``eps**-m sigma_1(theta_j eps**s_j)``,
+    where the eps-1 symbol sigma_1 is built from the forward/backward
+    difference factors ``exp(i theta_j) - 1`` and ``1 - exp(-i theta_j)``."""
     T, out = _frequency_columns(L, theta)
+    T = [t * eps ** s for t, s in zip(T, L.scaling.s)]
     if isinstance(out, complex):
-        return _symbol_function(L, eps)(T)
-    return _symbol_function(L, eps, np.exp)(T, out)
+        return eps ** -L.order * _symbol_function(L)(T)
+    return eps ** -L.order * _symbol_function(L, np.exp)(T, out)
 
 
-def _symbol_function(L: DiffOperator, eps: float, exp=cmath.exp):
-    """The lattice symbol as a function of the per-axis frequency components.
+def _symbol_function(L: DiffOperator, exp=cmath.exp):
+    """The eps-1 lattice symbol as a function of the per-axis frequency
+    components.
 
-    ``eps**s_j`` and each term's exponents are worked out once per (L, eps).
-    With ``cmath.exp`` the function takes d Python floats and returns a
-    Python ``complex``, which the Nelder-Mead refinements call once per
-    point; with ``np.exp`` it takes array columns and adds into the zero
-    array ``out``.  Both run the same complex operations in the same order.
+    Each term's exponents are worked out once per operator.  With
+    ``cmath.exp`` the function takes d Python floats and returns a Python
+    ``complex``, which the Nelder-Mead refinements call once per point; with
+    ``np.exp`` it takes array columns and adds into the zero array ``out``.
+    Both run the same complex operations in the same order.
     """
-    axes = [(h, 1j * h, -1j * h) for h in (eps ** s for s in L.scaling.s)]
     terms = [(complex(a), [(j, g[j], dl[j]) for j in range(L.d) if g[j] or dl[j]])
              for g, dl, a in L.terms]
 
     def symbol(theta, out=0j):
         fwd = []
         bwd = []
-        for (h, ih, mih), t in zip(axes, theta):
-            fwd.append((exp(ih * t) - 1.0) / h)
-            bwd.append((1.0 - exp(mih * t)) / h)
+        for t in theta:
+            fwd.append(exp(1j * t) - 1.0)
+            bwd.append(1.0 - exp(-1j * t))
         for term, powers in terms:
             for j, p, q in powers:
                 if p:
@@ -206,14 +203,11 @@ def _symbol_function(L: DiffOperator, eps: float, exp=cmath.exp):
 
 
 def fft_symbol_grid(L: DiffOperator, eps: float, shape: tuple[int, ...]) -> np.ndarray:
-    """Discrete symbol on the FFT frequency grid of a periodized window."""
-    axes = []
-    for j, (N, s) in enumerate(zip(shape, L.scaling.s)):
-        step = eps ** s
-        axes.append(2 * math.pi * np.fft.fftfreq(N) / step)
-    mesh = np.meshgrid(*axes, indexing="ij")
+    """Discrete symbol at grid scale eps on the FFT frequency grid of a
+    periodized window: ``eps**-m sigma_1`` at ``2 pi fftfreq(N)`` per axis."""
+    mesh = np.meshgrid(*(2 * math.pi * np.fft.fftfreq(N) for N in shape), indexing="ij")
     T = np.stack([m.ravel() for m in mesh], axis=1)
-    return discrete_symbol(L, eps, T).reshape(shape)
+    return discrete_symbol(L, 1.0, T).reshape(shape) * eps ** -L.order
 
 
 # ---------------------------------------------------------------------------
@@ -259,18 +253,18 @@ def continuum_symbol_scan(L: DiffOperator, samples: int = 1000):
     i = int(np.argmin(vals))
     best, wit = float(vals[i]), pts[i]
     if L.d > 1:
+        def norm(u):  # exactly summed squares, so no BLAS kernel sets the rounding
+            return math.sqrt(math.fsum(x * x for x in u))
+
         def obj(u):
-            # the norm is np.linalg.norm's BLAS dot, whose rounding (an FMA
-            # chain on some CPUs) a Python sum would not reproduce
-            a = np.array(u)
-            nrm = math.sqrt(a.dot(a))
+            nrm = norm(u)
             if nrm < 1e-12:
                 return 1e300
             return abs(continuum_symbol(L, [x / nrm for x in u]))
         x, fun, _ = nelder_mead(obj, wit, xatol=1e-14, fatol=1e-28, maxiter=600)
         if fun < best:
             best = float(fun)
-            wit = np.asarray(x) / np.linalg.norm(x)
+            wit = np.asarray(x) / norm(x)
     return best, tuple(float(x) for x in wit)
 
 
@@ -278,22 +272,22 @@ def continuum_symbol_scan(L: DiffOperator, samples: int = 1000):
 MAX_SCAN_POINTS = 2 ** 20
 
 
-def _refined_minima(L: DiffOperator, eps: float, starts, floor: float = -math.inf):
-    """Nelder-Mead minimisations of |lattice symbol|^2 inside the dual torus,
-    one per start, run only as the caller asks for them; yields
-    (|symbol| at the minimiser, minimiser).
+def _refined_minima(L: DiffOperator, starts, floor: float = -math.inf):
+    """Nelder-Mead minimisations of |eps-1 lattice symbol|^2 inside the unit
+    torus box ``[-pi, pi]^d``, one per start, run only as the caller asks
+    for them; yields (|symbol| at the minimiser, minimiser).
 
     The search is the Python-float port of scipy's bounded Nelder-Mead in
     ``_nelder_mead`` on the one-point symbol of ``_symbol_function``, so it
-    returns what ``scipy.optimize.minimize`` on ``discrete_symbol`` returns,
-    bit for bit, without numpy's per-step overhead on a 2-4 point simplex.
-    A positive ``floor`` stops a run at the first iteration whose best value
-    is below ``floor**2``; the runs it does not stop are still scipy's, bit
-    for bit.
+    returns what ``scipy.optimize.minimize`` on ``discrete_symbol`` at eps 1
+    returns, bit for bit, without numpy's per-step overhead on a 2-4 point
+    simplex.  A positive ``floor`` stops a run at the first iteration whose
+    best value is below ``floor**2``; the runs it does not stop are still
+    scipy's, bit for bit.
     """
-    symbol = _symbol_function(L, eps)
-    hi = dual_torus_bounds(L.scaling, eps)
-    lo = tuple(-b for b in hi)
+    symbol = _symbol_function(L)
+    hi = (math.pi,) * L.d
+    lo = (-math.pi,) * L.d
     fstop = floor * floor if floor > 0 else -math.inf
     for start in starts:
         x, fun, _ = nelder_mead(lambda t: abs(symbol(t)) ** 2, start, lo, hi,
@@ -301,75 +295,72 @@ def _refined_minima(L: DiffOperator, eps: float, starts, floor: float = -math.in
         yield math.sqrt(max(fun, 0.0)), np.asarray(x)
 
 
-def _symbol_floor(L: DiffOperator, eps: float, axes, vals: np.ndarray, half, near) -> float:
-    """A certified lower bound on the lattice symbol's modulus over every
-    grid cell that reaches outside the origin box of half-widths ``near``;
-    the cells are centred at the points of the grid with per-axis
-    coordinates ``axes``, where |symbol| is ``vals`` (``ij`` order), and
-    have half-widths ``half``.
+def _symbol_floor(L: DiffOperator, axis, vals: np.ndarray, half, near) -> float:
+    """A certified lower bound on the eps-1 lattice symbol's modulus over
+    every grid cell that reaches outside the origin box of half-width
+    ``near``; the cells are centred at the points of the grid with
+    coordinates ``axis`` on every axis, where |symbol| is ``vals`` (``ij``
+    order), and have half-width ``half``.
 
-    Each difference factor, forward or backward, on an axis of step h has
-    modulus at most ``min(2/h, |theta|)`` and a theta-derivative of modulus
-    1.  So on a cell the partial derivative along axis j is at most ``G_j =
-    sum_terms |a| n_j F_j^(n_j-1) prod_(k != j) F_k^n_k``, with ``n = gamma +
-    delta`` and ``F_k = min(2/h_k, |theta_k| + half_k)``, and ``|symbol| >=
-    |symbol(centre)| - sum_j G_j half_j`` there.  ``F_k`` depends on axis k
-    only, so the bounds are built from per-axis factors.  The least bound,
-    less a rounding allowance of ``2e-12 * max(1, sum |a| prod
-    (2/h_k)^n_k)``, is returned.
+    Each difference factor, forward or backward, has modulus at most
+    ``min(2, |theta|)`` and a theta-derivative of modulus 1.  So on a cell
+    the partial derivative along axis j is at most ``G_j = sum_terms |a| n_j
+    F_j^(n_j-1) prod_(k != j) F_k^n_k``, with ``n = gamma + delta`` and
+    ``F_k = min(2, |theta_k| + half)``, and ``|symbol| >= |symbol(centre)| -
+    sum_j G_j half`` there.  ``F_k`` depends on axis k only, so the bounds
+    are built from per-axis factors.  The least bound, less a rounding
+    allowance of ``2e-12 * max(1, sum |a| 2^|n|)``, is returned.
     """
-    steps = [eps ** s for s in L.scaling.s]
-    F = np.ix_(*(np.minimum(2 / h, np.abs(ax) + r) for ax, h, r in zip(axes, steps, half)))
+    F = np.ix_(*[np.minimum(2.0, np.abs(axis) + half)] * L.d)
     # a cell reaches outside the box when it does so along some axis
-    reach = reduce(np.maximum, np.ix_(*(np.abs(ax) + r - b
-                                        for ax, r, b in zip(axes, half, near)))) > 0
+    reach = reduce(np.maximum, np.ix_(*[np.abs(axis) + half - near] * L.d)) > 0
     slope, top = 0.0, 0.0
     for g, dl, a in L.terms:
         n = [p + q for p, q in zip(g, dl)]
         for j in range(L.d):
             if n[j]:
-                slope = slope + abs(a) * n[j] * half[j] * math.prod(
+                slope = slope + abs(a) * n[j] * half * math.prod(
                     f ** (nk - (k == j)) for k, (f, nk) in enumerate(zip(F, n)))
-        top += abs(a) * math.prod((2 / h) ** k for h, k in zip(steps, n))
+        top += abs(a) * 2.0 ** sum(n)
     lower = vals.reshape(reach.shape) - slope
     return float(np.min(lower[reach])) - 2e-12 * max(1.0, top)
 
 
-def lattice_symbol_zeros(L: DiffOperator, eps: float, resolution: int):
-    """Nonzero dual-torus zeros of the lattice symbol, refined one at a time
-    as the caller asks for them.
+def lattice_symbol_zeros(L: DiffOperator, resolution: int):
+    """Nonzero zeros of the eps-1 lattice symbol on the unit torus, refined
+    one at a time as the caller asks for them.
 
-    The symbol always vanishes at the origin, so a box of ``max(1,
-    resolution/16)`` cells per axis around it is left out of the grid.  The
-    16 lowest grid values outside the box, in ``np.argsort`` order, start the
-    refinements; a minimiser in the box is the trivial zero and is dropped.
-    A refinement whose best value falls below the certified floor of
-    ``_symbol_floor`` can only end in the box, so it is stopped there.
-    Yields ``(|symbol|, theta)`` for each minimiser with ``|symbol| <= 1e-12
-    * max(1, coeff_scale * eps**-m)``, in start order, with theta wrapped into
-    ``[-pi, pi) * eps**-s_j``; then ``(least, None)``:
-    the least |symbol| seen outside the box, on the grid or at a minimiser.
+    ``sigma_eps(theta) = eps**-m sigma_1(theta_j eps**s_j)``, so nothing
+    here depends on eps: callers rescale.  The symbol always vanishes at the
+    origin, so a box of ``max(1, resolution/16)`` cells per axis around it is
+    left out of the grid.  The 16 lowest grid values outside the box, in
+    ``np.argsort`` order, start the refinements; a minimiser in the box is
+    the trivial zero and is dropped.  A refinement whose best value falls
+    below the certified floor of ``_symbol_floor`` can only end in the box,
+    so it is stopped there.  Yields ``(|symbol|, theta)`` for each minimiser
+    with ``|symbol| <= 1e-12 * max(1, coeff_scale)``, in start order, with
+    theta wrapped into ``[-pi, pi)``; then ``(least, None)``: the least
+    |symbol| seen outside the box, on the grid or at a minimiser.
     """
     if resolution < 8:
         raise ValidationError("resolution must be at least 8 per axis")
     if resolution ** L.d > MAX_SCAN_POINTS:
         raise ValidationError(f"resolution {resolution} gives {resolution ** L.d} scan points "
                               f"in {L.d}D; at most {MAX_SCAN_POINTS} are allowed")
-    bounds = dual_torus_bounds(L.scaling, eps)
-    axes = [(-b + 2 * b * np.arange(resolution) / resolution) for b in bounds]
-    T = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, L.d)
-    vals = np.abs(discrete_symbol(L, eps, T))
-    # per-axis half-width of the box around the origin
-    near = [max(1.0, resolution / 16) * (2 * b / resolution) + 1e-15 for b in bounds]
-    floor = _symbol_floor(L, eps, axes, vals, [b / resolution for b in bounds], near)
+    axis = -math.pi + 2 * math.pi * np.arange(resolution) / resolution
+    T = np.stack(np.meshgrid(*[axis] * L.d, indexing="ij"), axis=-1).reshape(-1, L.d)
+    vals = np.abs(discrete_symbol(L, 1.0, T))
+    # half-width of the box around the origin
+    near = max(1.0, resolution / 16) * (2 * math.pi / resolution) + 1e-15
+    floor = _symbol_floor(L, axis, vals, math.pi / resolution, near)
     outside = ~np.all(np.abs(T) <= near, axis=1)
     T, vals = T[outside], vals[outside]
     least = float(np.min(vals))
-    tol = 1e-12 * max(1.0, L.coeff_scale() * eps ** (-L.order))
-    for v, x in _refined_minima(L, eps, T[np.argsort(vals)[:16]], floor):
-        # the minimiser lies in [-b, b]; +b is the torus point -b
-        theta = tuple(float(t - 2 * b if t >= b else t) for t, b in zip(x, bounds))
-        if all(abs(t) <= r for t, r in zip(theta, near)):
+    tol = 1e-12 * max(1.0, L.coeff_scale())
+    for v, x in _refined_minima(L, T[np.argsort(vals)[:16]], floor):
+        # the minimiser lies in [-pi, pi]; +pi is the torus point -pi
+        theta = tuple(float(t - 2 * math.pi if t >= math.pi else t) for t in x)
+        if all(abs(t) <= near for t in theta):
             continue
         least = min(least, v)
         if v <= tol:
@@ -383,11 +374,11 @@ def is_discretely_elliptic(L: DiffOperator, eps: float = 1.0,
 
     The lattice verdict is "not-elliptic" at the first zero of
     ``lattice_symbol_zeros``, the witness; without one, the least |symbol|
-    seen outside the origin box is the margin.  The continuum symbol is
-    scanned on a direction sphere.  The combined verdict needs both clean.
+    seen outside the origin box is the margin; both are rescaled to grid
+    scale eps.  The continuum symbol is scanned on a direction sphere.  The
+    combined verdict needs both clean.
     """
-    d_min, d_wit = next(lattice_symbol_zeros(L, eps, resolution))
-    margin_tol = 1e-6 * max(1.0, L.coeff_scale() * eps ** (-L.order))
+    d_min, d_wit = next(lattice_symbol_zeros(L, resolution))
 
     c_min, c_wit = continuum_symbol_scan(L, samples=max(1000, resolution ** 2 // 4))
     c_scale = L.coeff_scale()
@@ -400,7 +391,8 @@ def is_discretely_elliptic(L: DiffOperator, eps: float = 1.0,
 
     if d_wit is not None:
         d_verdict = "not-elliptic"
-    elif d_min > margin_tol:
+        d_wit = tuple(t * eps ** -s for t, s in zip(d_wit, L.scaling.s))
+    elif d_min > 1e-6 * max(1.0, c_scale):
         d_verdict = "elliptic"
     else:
         d_verdict = "inconclusive"
@@ -417,55 +409,9 @@ def is_discretely_elliptic(L: DiffOperator, eps: float = 1.0,
     elif d_verdict == "not-elliptic":
         notes = "lattice symbol vanishes at a nonzero dual point"
     return EllipticityReport(verdict, c_verdict, d_verdict,
-                             float(c_min), float(d_min),
+                             float(c_min), d_min * eps ** -L.order,
                              c_wit if c_verdict == "not-elliptic" else None,
                              d_wit, resolution, notes)
-
-
-# ---------------------------------------------------------------------------
-# discrete monomial (falling factorial) calculus
-
-
-def discrete_monomial(scaling: Scaling, eps: float, gamma: MultiIndex, k) -> np.ndarray:
-    """The falling factorial ``k^(gamma)`` at lattice points k, rows of
-    physical coordinates, with steps ``eps**s_j``; exact in integers when the
-    points and steps are integral."""
-    scaling.check_dim(gamma)
-    K = np.atleast_2d(k)
-    steps = [eps ** s for s in scaling.s]
-    if K.dtype.kind in "iu" and all(float(st).is_integer() for st in steps):
-        steps = [np.int64(st) for st in steps]
-    out = falling_factorial(K.T, steps, tuple(int(n) for n in gamma))
-    return out[0] if np.ndim(k) == 1 else out
-
-
-def monomial_diff_rule_check(scaling: Scaling, eps: float, gamma: MultiIndex,
-                             delta: MultiIndex):
-    """Verify by direct stencils that forward differences act diagonally on
-    the falling factorials: D^gamma k^(delta) equals
-    ``delta!/(delta-gamma)! k^(delta-gamma)`` when gamma <= delta, else 0, on
-    the window of half-width 4.
-
-    Returns (max abs deviation, exact flag); exact means integer-arithmetic
-    equality (only possible when eps makes all steps integral).
-    """
-    win = Window(scaling, eps, (-4,) * scaling.d, (4,) * scaling.d)
-    steps = np.array(win.steps)
-    if all(h.is_integer() for h in steps):
-        steps = steps.astype(np.int64)
-    f = discrete_monomial(scaling, eps, delta, win.indices() * steps).reshape(win.shape)
-    gamma = tuple(gamma)
-    valid = win.shrink(hi_margin=gamma)
-    got = difference_coefficients(f, win, [gamma], valid)[gamma]
-    if all(g <= dl for g, dl in zip(gamma, delta)):
-        fac = math.prod(math.perm(dl, g) for g, dl in zip(gamma, delta))
-        lowered = tuple(dl - g for g, dl in zip(gamma, delta))
-        expect = fac * discrete_monomial(scaling, eps, lowered, valid.indices() * steps)
-    else:
-        expect = 0
-    err = float(np.max(np.abs(got - expect)))
-    # integer differences arise only at integral points and unit steps
-    return err, bool(got.dtype.kind in "iu" and err == 0)
 
 
 # ---------------------------------------------------------------------------

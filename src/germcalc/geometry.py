@@ -59,11 +59,6 @@ class Scaling:
             raise ValueError(f"multi-index entries must be >= 0, got {gamma}")
         return sum(w * int(g) for w, g in zip(self.s, gamma))
 
-    def dilate(self, R: float, y):
-        """Apply the pure dilation ``y_j -> R**s[j] * y_j``."""
-        y = np.asarray(y, dtype=float)
-        return y * np.array([R ** w for w in self.s])
-
     def distance(self, x, y) -> float:
         """Anisotropic distance: sum over axes of ``|x_j - y_j|**(1/s[j])``."""
         return float(self.pairwise_distance(x, y)[0, 0])
@@ -137,8 +132,3 @@ class ScaleMap:
             raise ValueError(f"scale must be positive, got {self.R}")
         object.__setattr__(self, "w", tuple(float(x) for x in self.w))
         object.__setattr__(self, "R", float(self.R))
-
-    def __call__(self, y):
-        y = np.asarray(y, dtype=float)
-        self.scaling.check_dim(y)
-        return np.asarray(self.w) + self.scaling.dilate(self.R, y)

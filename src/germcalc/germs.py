@@ -100,9 +100,6 @@ class Window:
         off = tuple(int(i) - l for i, l in zip(idx, self.lo))
         return int(np.ravel_multi_index(off, self.shape))
 
-    def contains(self, idx) -> bool:
-        return all(l <= int(i) <= h for i, l, h in zip(idx, self.lo, self.hi))
-
     def shrink(self, lo_margin=None, hi_margin=None) -> "Window":
         lo_margin = lo_margin or (0,) * self.d
         hi_margin = hi_margin or (0,) * self.d

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .discrete_ops import DiffOperator, apply_to_field, dual_torus_bounds, lattice_symbol_zeros
+from .discrete_ops import DiffOperator, apply_to_field, lattice_symbol_zeros
 from .errors import ValidationError
 from .geometry import MultiIndex, Scaling, count_multi_indices, multi_indices
 from .germs import Window
@@ -181,22 +181,6 @@ def _centered_rows(scaling: Scaling, gammas) -> list[dict]:
     return [_action_rows([(g, zero, 1)], gammas).get(zero, {}) for g in gammas]
 
 
-def rigidity_matrix(scaling: Scaling, eps: float, eta: float) -> np.ndarray:
-    """Matrix of centered forward-difference values: entry (i, j) is
-    D^gamma_i applied to the j-th falling-factorial monomial, at the origin.
-
-    In lattice units that is ``gamma_j!/(gamma_j - gamma_i)! k^(gamma_j -
-    gamma_i)`` at k = 0, times ``eps**(|gamma_j| - |gamma_i|)``: the matrix
-    is ``diag(gamma!)`` at every eps."""
-    gammas = multi_indices(scaling, eta)
-    degrees = [scaling.degree(g) for g in gammas]
-    T = np.zeros((len(gammas), len(gammas)))
-    for i, row in enumerate(_centered_rows(scaling, gammas)):
-        for j, v in row.items():
-            T[i, j] = v * eps ** (degrees[j] - degrees[i])
-    return T
-
-
 def centered_rigidity_check(scaling: Scaling, eps: float, eta: float) -> bool:
     """True when vanishing centered differences up to degree eta force a
     polynomial of that degree to vanish: every column is a pivot.  The
@@ -216,20 +200,21 @@ def symbol_zero_search(L: DiffOperator, eps: float = 1.0,
                        resolution: int = 64) -> list[SymbolZero]:
     """Nonzero dual-torus points where the lattice symbol vanishes.
 
-    Every zero of ``lattice_symbol_zeros``, one per grid cell of the torus
-    (cells compared modulo the resolution, so periodic images count once),
-    each certified by applying the operator to the corresponding complex
-    exponential on a window of half-width 8 and recording the sup residual;
-    sorted by theta.
+    Every zero of ``lattice_symbol_zeros``, one per grid cell of the unit
+    torus (cells compared modulo 2 pi, so periodic images count once), at
+    grid scale eps and certified by applying the operator to the
+    corresponding complex exponential on a window of half-width 8 and
+    recording the sup residual; sorted by theta.
     """
-    period = 2 * np.array(dual_torus_bounds(L.scaling, eps))
-    cell = period / resolution
-    records: list[SymbolZero] = []
-    for v, theta in lattice_symbol_zeros(L, eps, resolution):
-        gaps = (np.abs(np.subtract(theta, z.theta)) for z in records)
+    period, cell = 2 * math.pi, 2 * math.pi / resolution
+    seen, records = [], []
+    for v, theta in lattice_symbol_zeros(L, resolution):
+        gaps = (np.abs(np.subtract(theta, t)) for t in seen)
         if theta is None or any(np.all(np.minimum(g, period - g) <= cell) for g in gaps):
             continue
-        records.append(SymbolZero(theta, v, _exponential_residual(L, eps, theta)))
+        seen.append(theta)
+        theta = tuple(t * eps ** -s for t, s in zip(theta, L.scaling.s))
+        records.append(SymbolZero(theta, v * eps ** -L.order, _exponential_residual(L, eps, theta)))
     records.sort(key=lambda z: z.theta)
     return records
 

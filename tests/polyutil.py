@@ -1,8 +1,9 @@
 """Independent oracles for tests: small multivariate polynomial arithmetic, a
 brute-force weighted minimax fit, the neighbor form of the discrete Laplacian,
-the probe sides after a joint rescale, the centering check of a germ, the
-composition of scale maps, kernel elements evaluated in floats and the
-absorption weights built and checked on ``Fraction``s."""
+the probe sides after a joint rescale, the centering check of a germ, scale
+maps applied to points and composed, window membership, the falling-factorial
+difference rule, kernel elements evaluated in floats, the centered rigidity
+matrix and the absorption weights built and checked on ``Fraction``s."""
 
 from __future__ import annotations
 
@@ -17,8 +18,9 @@ from germcalc._minimax import weighted_lstsq
 from germcalc.coeff_bounds import first_differing_component
 from germcalc.errors import DimensionError, ValidationError, VerificationError
 from germcalc.geometry import MultiIndex, multi_indices
-from germcalc.germs import falling_factorial, forward_differences
-from germcalc.liouville import KernelBasis
+from germcalc.germs import (Window, difference_coefficients, falling_factorial,
+                            forward_differences)
+from germcalc.liouville import KernelBasis, _centered_rows
 
 
 class Poly:
@@ -180,11 +182,65 @@ def center_check(U: Germ, eta: float) -> CenterReport:
     return CenterReport(worst <= 1e-10, worst, wit_x, wit_g)
 
 
+def scale_point(m: ScaleMap, y) -> np.ndarray:
+    """The recentering/dilation map ``y -> w + (R**s_1 y_1, ..., R**s_d y_d)``."""
+    y = np.asarray(y, dtype=float)
+    m.scaling.check_dim(y)
+    return np.asarray(m.w) + y * np.array([m.R ** w for w in m.scaling.s])
+
+
 def compose_scale(a: ScaleMap, b: ScaleMap) -> ScaleMap:
     """Composition a o b, i.e. first apply b, then a."""
     if a.scaling != b.scaling:
         raise DimensionError("scale maps live over different gradings")
-    return ScaleMap(a.scaling, tuple(a(np.asarray(b.w))), a.R * b.R)
+    return ScaleMap(a.scaling, tuple(scale_point(a, b.w)), a.R * b.R)
+
+
+def window_contains(win: Window, idx) -> bool:
+    """Whether the lattice index lies in the window's index box."""
+    return all(l <= int(i) <= h for i, l, h in zip(idx, win.lo, win.hi))
+
+
+def discrete_monomial(scaling: Scaling, eps: float, gamma: MultiIndex, k) -> np.ndarray:
+    """The falling factorial ``k^(gamma)`` at lattice points k, rows of
+    physical coordinates, with steps ``eps**s_j``; exact in integers when the
+    points and steps are integral."""
+    scaling.check_dim(gamma)
+    K = np.atleast_2d(k)
+    steps = [eps ** s for s in scaling.s]
+    if K.dtype.kind in "iu" and all(float(st).is_integer() for st in steps):
+        steps = [np.int64(st) for st in steps]
+    out = falling_factorial(K.T, steps, tuple(int(n) for n in gamma))
+    return out[0] if np.ndim(k) == 1 else out
+
+
+def monomial_diff_rule_check(scaling: Scaling, eps: float, gamma: MultiIndex,
+                             delta: MultiIndex):
+    """Verify by direct stencils that forward differences act diagonally on
+    the falling factorials: D^gamma k^(delta) equals
+    ``delta!/(delta-gamma)! k^(delta-gamma)`` when gamma <= delta, else 0, on
+    the window of half-width 4.
+
+    Returns (max abs deviation, exact flag); exact means integer-arithmetic
+    equality (only possible when eps makes all steps integral).
+    """
+    win = Window(scaling, eps, (-4,) * scaling.d, (4,) * scaling.d)
+    steps = np.array(win.steps)
+    if all(h.is_integer() for h in steps):
+        steps = steps.astype(np.int64)
+    f = discrete_monomial(scaling, eps, delta, win.indices() * steps).reshape(win.shape)
+    gamma = tuple(gamma)
+    valid = win.shrink(hi_margin=gamma)
+    got = difference_coefficients(f, win, [gamma], valid)[gamma]
+    if all(g <= dl for g, dl in zip(gamma, delta)):
+        fac = math.prod(math.perm(dl, g) for g, dl in zip(gamma, delta))
+        lowered = tuple(dl - g for g, dl in zip(gamma, delta))
+        expect = fac * discrete_monomial(scaling, eps, lowered, valid.indices() * steps)
+    else:
+        expect = 0
+    err = float(np.max(np.abs(got - expect)))
+    # integer differences arise only at integral points and unit steps
+    return err, bool(got.dtype.kind in "iu" and err == 0)
 
 
 def kernel_element(basis: KernelBasis, i: int, pts: np.ndarray) -> np.ndarray:
@@ -211,24 +267,41 @@ def in_kernel_span(basis: KernelBasis, coeffs) -> bool:
     return bool(np.linalg.norm(basis.vectors.T @ sol - v) <= 1e-8 * nrm)
 
 
+def rigidity_matrix(scaling: Scaling, eps: float, eta: float) -> np.ndarray:
+    """Matrix of centered forward-difference values: entry (i, j) is
+    D^gamma_i applied to the j-th falling-factorial monomial, at the origin.
+
+    In lattice units that is ``gamma_j!/(gamma_j - gamma_i)! k^(gamma_j -
+    gamma_i)`` at k = 0, times ``eps**(|gamma_j| - |gamma_i|)``: the matrix
+    is ``diag(gamma!)`` at every eps."""
+    gammas = multi_indices(scaling, eta)
+    degrees = [scaling.degree(g) for g in gammas]
+    T = np.zeros((len(gammas), len(gammas)))
+    for i, row in enumerate(_centered_rows(scaling, gammas)):
+        for j, v in row.items():
+            T[i, j] = v * eps ** (degrees[j] - degrees[i])
+    return T
+
+
+def cross_term(system: WeightSystem, beta: MultiIndex, gamma: MultiIndex) -> Fraction:
+    """The absorption term of ``beta`` against ``gamma``, a product of
+    ``Fraction`` powers."""
+    scaling = system.scaling
+    term = (Fraction(system.kappa[beta]) * Fraction(system.eps_level[scaling.degree(beta)])
+            ** (scaling.degree(gamma) - scaling.degree(beta)))
+    for r, sj, g, b in zip(system.rho[beta], scaling.s, gamma, beta):
+        term *= Fraction(r) ** (sj * (g - b))
+    return term
+
+
 def reference_verify(system: WeightSystem) -> tuple[bool, float]:
     """The absorption check by its definition, every term a product of
     ``Fraction`` powers and every sum a ``Fraction`` sum."""
-    s = system.scaling.s
     delta = Fraction(system.delta)
     worst = Fraction(0)
     ok = True
     for g in system.indices:
-        total = Fraction(0)
-        for b in system.indices:
-            if b == g:
-                continue
-            term = (Fraction(system.kappa[b])
-                    * Fraction(system.eps_level[system.scaling.degree(b)])
-                    ** (system.scaling.degree(g) - system.scaling.degree(b)))
-            for j in range(len(s)):
-                term *= Fraction(system.rho[b][j]) ** (s[j] * (g[j] - b[j]))
-            total += term
+        total = sum((cross_term(system, b, g) for b in system.indices if b != g), Fraction(0))
         cap = delta * Fraction(system.kappa[g])
         if total > cap:
             ok = False

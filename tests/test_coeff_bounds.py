@@ -8,7 +8,7 @@ from germcalc.coeff_bounds import (MAX_WEIGHT_WORK, _check_work, _int_root_at_le
                                    _weight_work, first_differing_component)
 from germcalc.errors import ValidationError
 
-from polyutil import reference_construct_weights, reference_verify
+from polyutil import cross_term, reference_construct_weights, reference_verify
 
 
 def test_index_set_ordering():
@@ -43,7 +43,7 @@ def test_weights_two_dimensional_verify():
     # direct summation, independently of the verify method
     delta = Fraction(0.1)
     for g in system.indices:
-        total = sum((system.cross_term(b, g) for b in system.indices if b != g),
+        total = sum((cross_term(system, b, g) for b in system.indices if b != g),
                     Fraction(0))
         assert total <= delta * system.kappa[g]
 
@@ -124,6 +124,11 @@ def test_weights_match_linear_root_search(monkeypatch, s, eta):
 @settings(max_examples=40, deadline=None)
 def test_weights_match_fraction_reference(s, eta, delta):
     scaling = Scaling(tuple(s))
+    if _weight_work(scaling, len(multi_indices(scaling, eta)), eta, delta) > MAX_WEIGHT_WORK:
+        # past the work cap the construction is refused, not attempted
+        with pytest.raises(ValidationError):
+            construct_weights(scaling, eta, delta)
+        return
     system = construct_weights(scaling, eta, delta)
     reference = reference_construct_weights(scaling, eta, delta)
     assert system.to_text() == reference.to_text()

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import os
 import subprocess
@@ -10,22 +11,20 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from germcalc import (Scaling, apply_to_field, apply_to_germ,
-                      continuum_symbol, discrete_monomial, discrete_symbol,
-                      is_discretely_elliptic, make_operator, monomial_diff_rule_check,
-                      multi_indices, operator_from_text, operator_to_text,
-                      preset_operator)
+from germcalc import (Scaling, apply_to_field, apply_to_germ, continuum_symbol,
+                      discrete_symbol, is_discretely_elliptic, make_operator, multi_indices,
+                      operator_from_text, operator_to_text, preset_operator,
+                      symbol_zero_search)
 from germcalc import discrete_ops
 from germcalc._nelder_mead import nelder_mead
 from germcalc.discrete_ops import (_refined_minima, _sphere_samples, _symbol_function,
-                                   continuum_symbol_scan, dual_torus_bounds, fft_symbol_grid,
-                                   lattice_symbol_zeros)
+                                   continuum_symbol_scan, fft_symbol_grid, lattice_symbol_zeros)
 from germcalc.errors import ValidationError
 from germcalc.germs import Window
 from germcalc.norms import pairing
 
-from conftest import box, random_germ
-from polyutil import laplacian_neighbor_form
+from conftest import WIDE_LAPLACIAN, box, first_order, l_t, random_germ
+from polyutil import discrete_monomial, laplacian_neighbor_form, monomial_diff_rule_check
 
 
 def test_constant_killed():
@@ -94,7 +93,7 @@ def homogeneous_operators(draw):
 @settings(max_examples=60, deadline=None)
 def test_single_point_symbols_match_array_path(L, eps, seed):
     # one-point calls run on Python complex values, batches on numpy arrays
-    bounds = np.array(dual_torus_bounds(L.scaling, eps))
+    bounds = np.array([math.pi * eps ** -s for s in L.scaling.s])
     T = np.random.default_rng(seed).uniform(-1, 1, size=(8, L.d)) * bounds
     batch = discrete_symbol(L, eps, T)
     assert np.array_equal(batch, _per_term_loop(L, eps, T.T, np.exp,
@@ -111,12 +110,12 @@ def test_single_point_symbols_match_array_path(L, eps, seed):
 
 
 def _per_term_loop(L, eps, T, exp, out):
-    """The lattice symbol as an unhoisted per-term loop over the columns T."""
+    """The lattice symbol at grid scale eps as an unhoisted per-term loop:
+    ``eps**-m`` times the eps-1 symbol at the columns ``T_j eps**s_j``."""
     fwd, bwd = [], []
-    for j, s in enumerate(L.scaling.s):
-        h = eps ** s
-        fwd.append((exp(1j * h * T[j]) - 1.0) / h)
-        bwd.append((1.0 - exp(-1j * h * T[j])) / h)
+    for t, s in zip(T, L.scaling.s):
+        fwd.append(exp(1j * (t * eps ** s)) - 1.0)
+        bwd.append(1.0 - exp(-1j * (t * eps ** s)))
     for g, dl, a in L.terms:
         term = complex(a)
         for j in range(L.d):
@@ -125,7 +124,7 @@ def _per_term_loop(L, eps, T, exp, out):
             if dl[j]:
                 term = term * bwd[j] ** dl[j]
         out += term
-    return out
+    return eps ** -L.order * out
 
 
 class _StableArgsortNumpy:
@@ -163,13 +162,14 @@ def _scipy_nelder_mead(f, x0, lo=None, hi=None, stable_ties=False, **options):
     return res.x.tolist(), float(res.fun), int(res.nit)
 
 
-@given(homogeneous_operators(), st.sampled_from([1.0, 0.5, 0.37]), st.integers(0, 2**32 - 1))
+@given(homogeneous_operators(), st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
-def test_nelder_mead_matches_scipy_on_lattice_symbols(L, eps, seed):
-    symbol = _symbol_function(L, eps)
+def test_nelder_mead_matches_scipy_on_lattice_symbols(L, seed):
+    # the eps-1 symbol on the unit torus, where the refinements run
+    symbol = _symbol_function(L)
     f = lambda t: abs(symbol(t)) ** 2  # noqa: E731
-    hi = dual_torus_bounds(L.scaling, eps)
-    lo = tuple(-b for b in hi)
+    hi = (math.pi,) * L.d
+    lo = (-math.pi,) * L.d
     rng = np.random.default_rng(seed)
     u = rng.uniform(-1, 1, L.d) * hi
     # inside, on the upper edge (reflected), on the lower edge (clipped), just
@@ -182,11 +182,16 @@ def test_nelder_mead_matches_scipy_on_lattice_symbols(L, eps, seed):
                 == _scipy_nelder_mead(f, x0, lo, hi, stable_ties=True, **opts))
 
 
+def _norm(u):
+    """The Euclidean norm of continuum_symbol_scan: exactly summed squares."""
+    return math.sqrt(math.fsum(x * x for x in u))
+
+
 @given(homogeneous_operators(), st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_nelder_mead_matches_scipy_on_the_continuum_objective(L, seed):
     def obj(u):
-        nrm = np.linalg.norm(u)
+        nrm = _norm(u)
         return 1e300 if nrm < 1e-12 else abs(continuum_symbol(L, np.asarray(u) / nrm))
 
     rng = np.random.default_rng(seed)
@@ -222,13 +227,14 @@ def test_nelder_mead_matches_scipy_on_smooth_functions(d, bounded, seed):
         assert nelder_mead(f, x0, lo, hi, **opts) == _scipy_nelder_mead(f, x0, lo, hi, **opts)
 
 
-def _scipy_refinements(L, eps, starts):
-    """The lattice refinements as scipy's Nelder-Mead on discrete_symbol."""
+def _scipy_refinements(L, starts):
+    """The lattice refinements as scipy's Nelder-Mead on discrete_symbol at
+    eps 1, inside the unit torus box."""
     from scipy.optimize import minimize
 
-    box = [(-b, b) for b in dual_torus_bounds(L.scaling, eps)]
+    box = [(-math.pi, math.pi)] * L.d
     for start in starts:
-        res = minimize(lambda t: float(abs(discrete_symbol(L, eps, t)) ** 2),
+        res = minimize(lambda t: float(abs(discrete_symbol(L, 1.0, t)) ** 2),
                        start, method="Nelder-Mead", bounds=box,
                        options={"xatol": 1e-13, "fatol": 1e-300, "maxiter": 800})
         yield math.sqrt(max(res.fun, 0.0)), res.x.tolist()
@@ -244,12 +250,12 @@ def _scipy_continuum_scan(L, samples):
     best, wit = float(vals[i]), pts[i]
 
     def obj(u):
-        nrm = np.linalg.norm(u)
+        nrm = _norm(u)
         return 1e300 if nrm < 1e-12 else float(abs(continuum_symbol(L, u / nrm)))
     res = minimize(obj, wit, method="Nelder-Mead",
                    options={"xatol": 1e-14, "fatol": 1e-28, "maxiter": 600})
     if res.fun < best:
-        best, wit = float(res.fun), res.x / np.linalg.norm(res.x)
+        best, wit = float(res.fun), res.x / _norm(res.x)
     return best, tuple(float(x) for x in wit)
 
 
@@ -258,10 +264,13 @@ def _scipy_continuum_scan(L, samples):
     ("cauchy-riemann", 2, 1.0), ("eps-degenerate", 2, 0.25), ("laplacian", 3, 1.0),
     ("heat", 3, 0.37)])
 def test_symbol_refinements_match_scipy(name, d, eps):
+    # the starts are dual-torus points at grid scale eps taken to the unit
+    # torus, where the refinements run whatever the grid scale
     L = preset_operator(name, d)
-    starts = np.random.default_rng(d).uniform(-1, 1, (4, d)) * dual_torus_bounds(L.scaling, eps)
-    got = [(v, x.tolist()) for v, x in _refined_minima(L, eps, starts)]
-    assert got == list(_scipy_refinements(L, eps, starts))
+    theta = np.random.default_rng(d).uniform(-1, 1, (4, d)) * math.pi
+    starts = theta * [eps ** -s for s in L.scaling.s] * [eps ** s for s in L.scaling.s]
+    got = [(v, x.tolist()) for v, x in _refined_minima(L, starts)]
+    assert got == list(_scipy_refinements(L, starts))
     if d > 1:
         for samples in (40, 1000):
             assert continuum_symbol_scan(L, samples) == _scipy_continuum_scan(L, samples)
@@ -324,8 +333,8 @@ def integer_operators(draw):
     return make_operator(scaling, terms)
 
 
-def _floor_and_box(L, eps, resolution):
-    """The certified floor and the origin box half-widths that
+def _floor_and_box(L, resolution):
+    """The certified floor and the origin box half-width that
     ``lattice_symbol_zeros`` works with."""
     seen = []
     real = discrete_ops._symbol_floor
@@ -334,37 +343,39 @@ def _floor_and_box(L, eps, resolution):
         seen.append((real(*args), args[-1]))
         return seen[-1][0]
     with mock.patch.object(discrete_ops, "_symbol_floor", spy):
-        next(lattice_symbol_zeros(L, eps, resolution))
+        next(lattice_symbol_zeros(L, resolution))
     return seen[0]
 
 
-def _check_floor(L, eps, resolution, seed):
-    """|symbol| at random torus points outside the origin box is at least the
-    floor; returns the floor.  The points are drawn uniformly on the torus
-    and on the boxes two cells and half a cell wider than the origin box,
-    where the floor is tightest."""
-    floor, near = _floor_and_box(L, eps, resolution)
-    bounds = np.array(dual_torus_bounds(L.scaling, eps))
+def _check_floor(L, resolution, seed):
+    """|eps-1 symbol| at random unit-torus points outside the origin box is
+    at least the floor; returns the floor.  The points are drawn uniformly on
+    the torus and on the boxes two cells and half a cell wider than the
+    origin box, where the floor is tightest."""
+    floor, near = _floor_and_box(L, resolution)
     rng = np.random.default_rng(seed)
     T = np.concatenate([rng.uniform(-1, 1, (1500, L.d)) * half
-                        for half in (bounds, near + 4 * bounds / resolution,
-                                     near + bounds / resolution)])
+                        for half in (math.pi, near + 4 * math.pi / resolution,
+                                     near + math.pi / resolution)])
     T = T[~np.all(np.abs(T) <= near, axis=1)]
     assert len(T) >= 2000
-    assert np.min(np.abs(discrete_symbol(L, eps, T))) >= floor
+    assert np.min(np.abs(discrete_symbol(L, 1.0, T))) >= floor
     return floor
 
 
-def _zeros_without_floor(L, eps, resolution):
-    with mock.patch.object(discrete_ops, "_symbol_floor", lambda *args: -math.inf):
-        return list(lattice_symbol_zeros(L, eps, resolution))
+def _without_floor():
+    return mock.patch.object(discrete_ops, "_symbol_floor", lambda *args: -math.inf)
 
 
-@given(integer_operators(), st.sampled_from([1.0, 0.5, 0.37]), st.sampled_from([16, 32, 64]),
-       st.integers(0, 2**32 - 1))
+def _zeros_without_floor(L, resolution):
+    with _without_floor():
+        return list(lattice_symbol_zeros(L, resolution))
+
+
+@given(integer_operators(), st.sampled_from([16, 32, 64]), st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
-def test_symbol_floor_is_sound(L, eps, resolution, seed):
-    _check_floor(L, eps, resolution, seed)
+def test_symbol_floor_is_sound(L, resolution, seed):
+    _check_floor(L, resolution, seed)
 
 
 def test_symbol_floor_of_the_presets():
@@ -373,13 +384,13 @@ def test_symbol_floor_of_the_presets():
     # term-wise bounds of eps-degenerate add where its terms cancel
     for name, positive in (("laplacian", True), ("heat", True),
                            ("cauchy-riemann", False), ("eps-degenerate", False)):
-        assert (_check_floor(preset_operator(name, 2), 1.0, 64, 0) > 0) == positive
+        assert (_check_floor(preset_operator(name, 2), 64, 0) > 0) == positive
 
 
-@given(integer_operators(), st.sampled_from([1.0, 0.5, 0.37]), st.sampled_from([16, 32, 64]))
+@given(integer_operators(), st.sampled_from([16, 32, 64]))
 @settings(max_examples=25, deadline=None)
-def test_symbol_floor_changes_no_zero(L, eps, resolution):
-    assert list(lattice_symbol_zeros(L, eps, resolution)) == _zeros_without_floor(L, eps, resolution)
+def test_symbol_floor_changes_no_zero(L, resolution):
+    assert list(lattice_symbol_zeros(L, resolution)) == _zeros_without_floor(L, resolution)
 
 
 @pytest.mark.parametrize("name, d", [
@@ -387,8 +398,12 @@ def test_symbol_floor_changes_no_zero(L, eps, resolution):
     ("cauchy-riemann", 2), ("eps-degenerate", 1), ("eps-degenerate", 2), ("eps-degenerate", 3)])
 @pytest.mark.parametrize("eps", [1.0, 0.37])
 def test_symbol_floor_changes_no_preset_zero(name, d, eps):
+    # nor the zeros reported at grid scale eps, which rescale the eps-1 list
     L = preset_operator(name, d)
-    assert list(lattice_symbol_zeros(L, eps, 64)) == _zeros_without_floor(L, eps, 64)
+    assert list(lattice_symbol_zeros(L, 64)) == _zeros_without_floor(L, 64)
+    zeros = symbol_zero_search(L, eps, 64)
+    with _without_floor():
+        assert symbol_zero_search(L, eps, 64) == zeros
 
 
 def test_eps_degenerate_continuum_vanishes(rng):
@@ -458,12 +473,40 @@ def test_ellipticity_verdicts():
     assert np.allclose(sorted(got), [0.5, 0.5], atol=1e-6)
 
 
+# the presets in one to three dimensions, L_t = D_1 - e^(it) Dbar_1 + i D_2 for
+# t = 0.25 and 0.5, the wide Laplacian and D_1 - D_2
+_SWEEP = ([preset_operator(name, d) for name, d in (
+    ("laplacian", 1), ("laplacian", 2), ("laplacian", 3), ("eps-degenerate", 1),
+    ("eps-degenerate", 2), ("eps-degenerate", 3), ("heat", 2), ("heat", 3),
+    ("cauchy-riemann", 2))]
+    + [l_t(0.25), l_t(0.5), WIDE_LAPLACIAN, first_order(1.0, -1.0, 0.0, 0.0)])
+
+
+def _same(x, y):
+    return math.isclose(x, y, rel_tol=1e-15, abs_tol=0.0)
+
+
 def test_ellipticity_verdict_eps_invariant():
-    for name in ("laplacian", "heat", "eps-degenerate"):
-        L = preset_operator(name, 2)
-        v1 = is_discretely_elliptic(L, 1.0, 32).verdict
-        v2 = is_discretely_elliptic(L, 0.5, 32).verdict
-        assert v1 == v2
+    # sigma_eps(theta) = eps^-m sigma_1(theta_j eps^s_j): verdicts and zero
+    # lists are the eps-1 ones, with theta times eps^-s_j and |symbol| and the
+    # margin times eps^-m
+    for L, resolution in itertools.product(_SWEEP, (16, 32)):
+        rep = is_discretely_elliptic(L, 1.0, resolution)
+        zeros = symbol_zero_search(L, 1.0, resolution)
+        for eps in (0.5, 0.37, 0.1):
+            scale = [eps ** -s for s in L.scaling.s]
+            got = is_discretely_elliptic(L, eps, resolution)
+            assert (got.verdict, got.discrete_verdict) == (rep.verdict, rep.discrete_verdict)
+            assert _same(got.discrete_margin, rep.discrete_margin * eps ** -L.order)
+            assert (got.discrete_witness is None) == (rep.discrete_witness is None)
+            if rep.discrete_witness is not None:
+                assert all(map(_same, got.discrete_witness,
+                               np.multiply(rep.discrete_witness, scale)))
+            found = symbol_zero_search(L, eps, resolution)
+            assert len(found) == len(zeros)
+            for z, w in zip(found, zeros):
+                assert all(map(_same, z.theta, np.multiply(w.theta, scale)))
+                assert _same(z.symbol_abs, w.symbol_abs * eps ** -L.order)
 
 
 def test_monomial_trivials():

@@ -6,6 +6,8 @@ from germcalc import ScaleMap, Scaling, multi_indices
 from germcalc.geometry import count_multi_indices
 from germcalc.errors import DimensionError
 
+from polyutil import scale_point
+
 
 def test_degree_examples():
     assert Scaling((2, 1, 1)).degree((1, 0, 2)) == 4
@@ -31,9 +33,9 @@ def test_scale_point_examples():
     s = Scaling((2, 1))
     ident = ScaleMap(s, (0.0, 0.0), 1.0)
     y = np.array([3.0, -2.0])
-    assert np.allclose(ident(y), y)
+    assert np.allclose(scale_point(ident, y), y)
     m = ScaleMap(s, (1.0, 1.0), 2.0)
-    assert np.allclose(m((1.0, 1.0)), (5.0, 3.0))
+    assert np.allclose(scale_point(m, (1.0, 1.0)), (5.0, 3.0))
 
 
 def test_distance_covariance(rng):
@@ -42,7 +44,7 @@ def test_distance_covariance(rng):
             m = ScaleMap(s, tuple(rng.standard_normal(s.d)), float(rng.uniform(0.3, 4)))
             x = rng.standard_normal(s.d)
             y = rng.standard_normal(s.d)
-            lhs = s.distance(m(x), m(y))
+            lhs = s.distance(scale_point(m, x), scale_point(m, y))
             rhs = m.R * s.distance(x, y)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, rhs)
 

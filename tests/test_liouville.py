@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -10,9 +9,10 @@ from germcalc import (Scaling, centered_rigidity_check, is_discretely_elliptic, 
 from germcalc import discrete_ops
 from germcalc.discrete_ops import apply_to_field
 from germcalc.germs import Window
-from germcalc.liouville import kernel_basis_to_text, rigidity_matrix
+from germcalc.liouville import kernel_basis_to_text
 
-from polyutil import Poly, in_kernel_span, kernel_element
+from conftest import WIDE_LAPLACIAN, first_order, l_t
+from polyutil import Poly, in_kernel_span, kernel_element, rigidity_matrix
 
 
 def test_kernel_affine_dimensions():
@@ -210,11 +210,8 @@ def test_zero_search_laplacian_empty():
         assert symbol_zero_search(L, 1.0, 64) == []
 
 
-@pytest.mark.parametrize("name", ["laplacian", "heat"])
-def test_zero_search_refinements_stop_at_the_floor(name, monkeypatch):
-    # each of the 16 refinements stops once its best value is below the
-    # certified floor: 168 (laplacian) and 312 (heat) symbol evaluations,
-    # where running them to convergence takes 17,564 and 23,964
+def _refinement_calls(monkeypatch, run) -> int:
+    """The symbol evaluations of the Nelder-Mead refinements in ``run()``."""
     calls = 0
     real = discrete_ops.nelder_mead
 
@@ -225,8 +222,29 @@ def test_zero_search_refinements_stop_at_the_floor(name, monkeypatch):
             return f(x)
         return real(g, *args, **kwargs)
     monkeypatch.setattr(discrete_ops, "nelder_mead", counted)
-    assert symbol_zero_search(preset_operator(name, 2), 1.0, 64) == []
-    assert 0 < calls <= 1000
+    run()
+    monkeypatch.setattr(discrete_ops, "nelder_mead", real)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["laplacian", "heat"])
+def test_zero_search_refinements_stop_at_the_floor(name, monkeypatch):
+    # each of the 16 refinements stops once its best value is below the
+    # certified floor: 168 (laplacian) and 312 (heat) symbol evaluations,
+    # where running them to convergence takes 17,564 and 23,964
+    def run():
+        assert symbol_zero_search(preset_operator(name, 2), 1.0, 64) == []
+    assert 0 < _refinement_calls(monkeypatch, run) <= 1000
+
+
+def test_zero_search_work_does_not_depend_on_eps(monkeypatch):
+    # the refinements run on the unit torus at every grid scale; in the box
+    # [-pi, pi] eps^-s_j, 14 of the 16 cauchy-riemann runs at eps 0.37 went to
+    # the 800-iteration cap (42,086 evaluations against 3,491 at eps 1)
+    L = preset_operator("cauchy-riemann", 2)
+    work = {eps: _refinement_calls(monkeypatch, lambda: symbol_zero_search(L, eps, 64))
+            for eps in (1.0, 0.5, 0.37, 0.1)}
+    assert len(set(work.values())) == 1 and work[1.0] < 5000
 
 
 def test_zero_search_finds_cauchy_riemann_zeros():
@@ -240,32 +258,11 @@ def test_zero_search_finds_cauchy_riemann_zeros():
     assert (0.5, 0.5) in mags
 
 
-_E = ((1, 0), (0, 1))
-
-
-def _first_order(a1, a2, b1, b2):
-    """a_1 D_1 + a_2 D_2 + b_1 Dbar_1 + b_2 Dbar_2 in 2D."""
-    return make_operator(Scaling((1, 1)), {(_E[0], (0, 0)): a1, (_E[1], (0, 0)): a2,
-                                           ((0, 0), _E[0]): b1, ((0, 0), _E[1]): b2})
-
-
-def _l_t(t):
-    """D_1 - e^(it) Dbar_1 + i D_2: its lattice symbol vanishes at (t, 0)."""
-    return _first_order(1.0, 1j, -cmath.exp(1j * t), 0.0)
-
-
-# sum_j (D_j + Dbar_j)^2, symbol -4 sum_j sin^2(theta_j): zero where each theta_j is 0 or +-pi
-_WIDE_LAPLACIAN = make_operator(Scaling((1, 1)), {
-    term: c for j in range(2) for term, c in (((tuple(2 * x for x in _E[j]), (0, 0)), 1.0),
-                                              ((_E[j], _E[j]), 2.0),
-                                              (((0, 0), tuple(2 * x for x in _E[j])), 1.0))})
-
-
 def test_kernel_of_a_stencil_wider_than_its_order():
     # the stencil reaches across 5 points per axis at order 2; the kernel is
     # the harmonic polynomials, as for the Laplacian
     for eta, dim in ((0.5, 1), (1.5, 3), (2.5, 5), (3.5, 7)):
-        assert polynomial_kernel(_WIDE_LAPLACIAN, 1.0, eta).dimension == dim
+        assert polynomial_kernel(WIDE_LAPLACIAN, 1.0, eta).dimension == dim
 
 
 def _check_zero_finders_agree(L, resolution):
@@ -296,21 +293,21 @@ _coefficients = st.one_of(st.just(0j), st.complex_numbers(max_magnitude=2))
 @settings(max_examples=20, deadline=None)
 def test_zero_finders_agree_on_first_order_operators(a1, a2, b1, b2, resolution):
     assume(any(abs(c) > 1e-3 for c in (a1, a2, b1, b2)))
-    _check_zero_finders_agree(_first_order(a1, a2, b1, b2), resolution)
+    _check_zero_finders_agree(first_order(a1, a2, b1, b2), resolution)
 
 
 @pytest.mark.parametrize("resolution", [16, 32, 64])
 def test_zero_finders_agree_on_fixed_operators(resolution):
     # the zero of L_0.5 lies outside the origin box of half-width pi/8 and
     # both commands report it; the zero of L_0.25 lies inside, and neither does
-    rep, zeros = _check_zero_finders_agree(_l_t(0.5), resolution)
+    rep, zeros = _check_zero_finders_agree(l_t(0.5), resolution)
     assert zeros == {(0.5, 0.0)}
     assert np.allclose(rep.discrete_witness, (0.5, 0.0), atol=1e-9)
-    rep, zeros = _check_zero_finders_agree(_l_t(0.25), resolution)
+    rep, zeros = _check_zero_finders_agree(l_t(0.25), resolution)
     assert zeros == set() and rep.discrete_witness is None
     # (0, pi), (pi, 0) and (pi, pi) are three torus points; their periodic
     # images at -pi are not listed again
-    _, zeros = _check_zero_finders_agree(_WIDE_LAPLACIAN, resolution)
+    _, zeros = _check_zero_finders_agree(WIDE_LAPLACIAN, resolution)
     pi = round(math.pi, 9)
     assert zeros == {(-pi, 0.0), (0.0, -pi), (-pi, -pi)}
 
