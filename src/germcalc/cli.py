@@ -127,22 +127,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe",
                        help="run a norm-ratio ensemble probe")
     p.add_argument("--config", help="flat key=value config file; flags win on conflict")
-    p.add_argument("--mode", choices=harness.MODES, default="schauder")
-    p.add_argument("--scaling")
-    p.add_argument("--preset", dest="operator", choices=PRESETS)
-    p.add_argument("--operator-file")
-    p.add_argument("--eta", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--window", type=int, help="window radius in index units")
-    p.add_argument("--eps", help="comma separated grid scales")
-    p.add_argument("--ensemble", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--germ", choices=["jet", "frozen", "file"])
-    p.add_argument("--germ-file")
-    p.add_argument("--time-extent", type=int)
-    p.add_argument("--zero-initial", action="store_true",
-                   help="subtract the initial slice before building germs (--mode ivp)")
-    p.add_argument("--rho", type=float, help="locality radius for --mode local")
+    # one flag per probe setting; an unset flag stays None, so the config
+    # file's value (or the setting's default) stands
+    for _, s in harness.SETTINGS:
+        if s.flag is None:
+            continue
+        kind = ({"action": "store_const", "const": "true"} if s.parse is harness.parse_bool
+                else {"choices": s.choices})
+        p.add_argument(s.flag, dest=s.key, help=s.help, **kind)
     p.add_argument("--out", help="write per-member CSV here")
     p.add_argument("--json", action="store_true", help="print the JSON summary")
 
@@ -284,18 +276,10 @@ def _cmd_probe(args) -> int:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             kv = harness.parse_config_text(fh.read())
-    overrides = {
-        "scaling": args.scaling, "operator": args.operator,
-        "operator_file": args.operator_file, "eta": args.eta, "alpha": args.alpha,
-        "radius": args.window, "eps": args.eps, "ensemble": args.ensemble,
-        "seed": args.seed, "germ": args.germ, "germ_file": args.germ_file,
-        "time_extent": args.time_extent,
-    }
-    for k, v in overrides.items():
-        if v is not None:
-            kv[k] = v
-    cfg = harness.config_from_mapping({k: str(v) for k, v in kv.items()})
-    reports = harness.run_probe(cfg, args.mode, args.rho, args.zero_initial)
+    kv.update((s.key, vars(args)[s.key]) for _, s in harness.SETTINGS
+              if vars(args).get(s.key) is not None)
+    cfg = harness.config_from_mapping(kv)
+    reports = harness.run_probe(cfg)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(harness.reports_to_csv(reports))
@@ -344,7 +328,7 @@ def main(argv=None) -> int:
     except (ValidationError,) as exc:
         print(f"germcalc: invalid input: {exc}", file=sys.stderr)
         return 1
-    except (GermCalcError, OSError, ValueError) as exc:
+    except (GermCalcError, OSError, ValueError, ArithmeticError) as exc:
         print(f"germcalc: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
-from .discrete_ops import (DiffOperator, apply_to_germ, fft_symbol_grid,
+from .discrete_ops import (PRESETS, DiffOperator, apply_to_germ, fft_symbol_grid,
                            apply_to_field, resolve_operator)
 from .errors import IllPosedSourceError, ValidationError
 from .geometry import Scaling
@@ -27,26 +28,95 @@ from .norms import norm_G_eta, seminorm_G_eta_alpha, seminorm_G_gamma, sup_below
 _FMT = "%.17g"
 
 
+MODES = ("schauder", "ivp", "local")
+
+
+def parse_scaling(text) -> Scaling:
+    """Grading from comma-separated axis weights, such as ``"2,1"``."""
+    try:
+        return Scaling(tuple(int(x) for x in str(text).split(",")))
+    except ValueError as exc:
+        raise ValidationError(f"invalid scaling {text!r}: {exc}") from None
+
+
+def parse_bool(text) -> bool:
+    return str(text).lower() in ("1", "true", "yes")
+
+
+def _show(value):
+    return "" if value is None else value
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One probe setting's text forms: its config key, the parser of its
+    text value, its command-line flag (None: config files only) with the
+    flag's choices and help, and its ``config_to_dict`` value."""
+
+    key: str
+    parse: Callable
+    flag: str | None = None
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+    show: Callable = _show
+
+
+def _setting(default, *args, **kwargs):
+    return field(default=default, metadata={"setting": Setting(*args, **kwargs)})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Probe configuration; radii and extents are in lattice index units.
-    With ``germ=file``, ``eps_list`` is empty or holds the file's own eps."""
+    """The probe's only input, one field per setting with its default and
+    text forms; radii and extents are in lattice index units.  An unset
+    ``eps_list`` is ``(1.0,)``, or empty with ``germ=file`` (the file's own
+    eps); an unset ``time_extent`` is ``2 * radius`` in mode ivp."""
 
-    scaling: Scaling
-    operator: str = "laplacian"
-    operator_file: str | None = None
-    eta: float = 1.5
-    alpha: float = 0.5
-    radius: int = 8
-    eps_list: tuple[float, ...] = (1.0,)
-    ensemble: int = 1
-    seed: int = 0
-    germ: str = "jet"              # jet | frozen | file
-    germ_file: str | None = None
-    time_extent: int | None = None
-    allow_integer_orders: bool = False
+    scaling: Scaling = _setting(Scaling((1, 1)), "scaling", parse_scaling, "--scaling",
+                                show=lambda s: ",".join(map(str, s.s)))
+    operator: str = _setting("laplacian", "operator", str, "--preset", PRESETS)
+    operator_file: str | None = _setting(None, "operator_file", str, "--operator-file")
+    eta: float = _setting(1.5, "eta", float, "--eta")
+    alpha: float = _setting(0.5, "alpha", float, "--alpha")
+    radius: int = _setting(8, "radius", int, "--window", help="window radius in index units")
+    eps_list: tuple[float, ...] | None = _setting(
+        None, "eps", lambda v: tuple(float(x) for x in str(v).split(",")), "--eps",
+        help="comma separated grid scales", show=lambda e: ",".join(_FMT % x for x in e))
+    ensemble: int = _setting(1, "ensemble", int, "--ensemble")
+    seed: int = _setting(0, "seed", int, "--seed")
+    germ: str = _setting("jet", "germ", str, "--germ", ("jet", "frozen", "file"))
+    germ_file: str | None = _setting(None, "germ_file", str, "--germ-file")
+    time_extent: int | None = _setting(None, "time_extent", int, "--time-extent")
+    allow_integer_orders: bool = _setting(False, "allow_integer_orders", parse_bool)
+    mode: str = _setting("schauder", "mode", str, "--mode", MODES)
+    rho: float | None = _setting(None, "rho", float, "--rho",
+                                 help="locality radius for --mode local")
+    zero_initial: bool = _setting(
+        False, "zero_initial", parse_bool, "--zero-initial",
+        help="subtract the initial slice before building germs (--mode ivp)")
+
+    def __post_init__(self):
+        if self.eps_list is None:
+            object.__setattr__(self, "eps_list", () if self.germ == "file" else (1.0,))
+        if self.time_extent is None and self.mode == "ivp":
+            object.__setattr__(self, "time_extent", 2 * self.radius)
 
     def validate(self) -> DiffOperator:
+        for name, s in SETTINGS:
+            if s.choices and getattr(self, name) not in s.choices:
+                raise ValidationError(f"unknown {s.key} {getattr(self, name)!r}")
+        if self.rho is not None and self.mode != "local":
+            raise ValidationError("rho applies to mode local only")
+        if self.zero_initial and self.mode != "ivp":
+            raise ValidationError("zero_initial applies to mode ivp only")
+        if self.mode == "local" and not (self.rho is not None and self.rho > 0):
+            raise ValidationError("mode local requires a positive rho")
+        if self.mode == "ivp":
+            if self.germ != "jet":
+                raise ValidationError(f"mode ivp builds jet germs; germ={self.germ} "
+                                      "is not supported")
+            if self.scaling.s[0] != 2 or any(s != 1 for s in self.scaling.s[1:]):
+                raise ValidationError("initial-value probe expects scaling (2, 1, ..., 1)")
         L = resolve_operator(self.operator_file, self.operator, self.scaling.d)
         if L.scaling != self.scaling:
             raise ValidationError(
@@ -64,6 +134,8 @@ class ExperimentConfig:
         if self.germ != "file":  # a germ file brings its own window
             if self.radius < 1:
                 raise ValidationError("window radius must be >= 1")
+            if self.time_extent is not None and self.time_extent < 1:
+                raise ValidationError("time extent must be >= 1")
             points = max(2 * self.radius, self.time_extent or 0) + 1
             if points > MAX_POINTS_PER_AXIS:
                 extent = ("" if self.time_extent is None
@@ -73,8 +145,6 @@ class ExperimentConfig:
                     f"axis; at most {MAX_POINTS_PER_AXIS} are allowed")
         if not all(math.isfinite(e) and e > 0 for e in self.eps_list):
             raise ValidationError("grid scales must be finite and positive")
-        if self.germ not in ("jet", "frozen", "file"):
-            raise ValidationError(f"unknown germ constructor {self.germ!r}")
         if self.germ == "file" and not self.germ_file:
             raise ValidationError("germ=file requires germ_file")
         if self.germ == "file" and (self.ensemble > 1 or len(self.eps_list) > 1):
@@ -168,12 +238,12 @@ def draw_source(rng: np.random.Generator, window: Window) -> np.ndarray:
 
 
 def _build_germ(cfg: ExperimentConfig, L: DiffOperator, window: Window,
-                rng: np.random.Generator, zero_initial: bool) -> Germ:
+                rng: np.random.Generator) -> Germ:
     """Manufactured jet or frozen-coefficient germ from Poisson solutions;
     ``zero_initial`` subtracts the initial time slice first."""
     order = math.floor(cfg.eta)
     u = solve_poisson(L, draw_source(rng, window), window).u
-    if zero_initial:
+    if cfg.zero_initial:
         u = u - u[0][None, ...]
     if cfg.germ == "jet":
         return jet_germ(u, window, order)
@@ -203,11 +273,7 @@ def schauder_sides(U: Germ, L: DiffOperator, eta: float, alpha: float,
     return {"lhs": lhs, "rhs_operator": rhs_op, "rhs_eta_alpha": rhs_ea}
 
 
-MODES = ("schauder", "ivp", "local")
-
-
-def run_probe(cfg: ExperimentConfig, mode: str = "schauder", rho: float | None = None,
-              zero_initial: bool = False) -> list[RatioReport]:
+def run_probe(cfg: ExperimentConfig) -> list[RatioReport]:
     """Ensemble of germs; one report per (grid scale, member), in that order.
 
     Every mode evaluates ``||U||_eta <= C (||LU||_(eta-m) + [U]_(eta,alpha))``
@@ -222,22 +288,6 @@ def run_probe(cfg: ExperimentConfig, mode: str = "schauder", rho: float | None =
     ``germ=file`` evaluates the file's germ once, at the file's grid scale;
     an eps given with it must be that scale.
     """
-    if mode not in MODES:
-        raise ValidationError(f"unknown probe mode {mode!r}")
-    if rho is not None and mode != "local":
-        raise ValidationError("rho applies to mode local only")
-    if zero_initial and mode != "ivp":
-        raise ValidationError("zero_initial applies to mode ivp only")
-    if mode == "local" and not (rho is not None and rho > 0):
-        raise ValidationError("mode local requires a positive rho")
-    if mode == "ivp":
-        if cfg.germ != "jet":
-            raise ValidationError(f"mode ivp builds jet germs; germ={cfg.germ} "
-                                  "is not supported")
-        if cfg.scaling.s[0] != 2 or any(s != 1 for s in cfg.scaling.s[1:]):
-            raise ValidationError("initial-value probe expects scaling (2, 1, ..., 1)")
-        if cfg.time_extent is None:
-            cfg = replace(cfg, time_extent=2 * cfg.radius)
     L = cfg.validate()
     if cfg.germ == "file":
         U = load_germ(cfg.germ_file)
@@ -251,14 +301,15 @@ def run_probe(cfg: ExperimentConfig, mode: str = "schauder", rho: float | None =
     else:
         windows = {eps: _probe_window(cfg, eps) for eps in cfg.eps_list}
         germs = ((member, _build_germ(cfg, L, windows[eps],
-                                      member_rng(cfg.seed, member), zero_initial))
+                                      member_rng(cfg.seed, member)))
                  for eps in cfg.eps_list for member in range(cfg.ensemble))
     reports = []
     for member, U in germs:
-        sides = schauder_sides(U, L, cfg.eta, cfg.alpha, R=rho)
+        sides = schauder_sides(U, L, cfg.eta, cfg.alpha, R=cfg.rho)
         rhs_initial = (norm_G_eta(restrict_initial(U), cfg.eta).value
-                       if mode == "ivp" else 0.0)
-        rhs_local_sup = rho ** (-cfg.eta) * sup_below(U, rho).value if mode == "local" else 0.0
+                       if cfg.mode == "ivp" else 0.0)
+        rhs_local_sup = (cfg.rho ** (-cfg.eta) * sup_below(U, cfg.rho).value
+                         if cfg.mode == "local" else 0.0)
         reports.append(RatioReport(member, U.eps, sides["lhs"], sides["rhs_operator"],
                                    sides["rhs_eta_alpha"], rhs_initial, rhs_local_sup))
     return reports
@@ -305,26 +356,11 @@ def summary_to_json(reports: list[RatioReport], cfg: ExperimentConfig) -> str:
 # flat key=value config files
 
 
+SETTINGS = tuple((f.name, f.metadata["setting"]) for f in fields(ExperimentConfig))
+
+
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "scaling": ",".join(str(x) for x in cfg.scaling.s),
-        "operator": cfg.operator,
-        "operator_file": cfg.operator_file or "",
-        "eta": cfg.eta, "alpha": cfg.alpha, "radius": cfg.radius,
-        "eps": ",".join(_FMT % e for e in cfg.eps_list),
-        "ensemble": cfg.ensemble, "seed": cfg.seed,
-        "germ": cfg.germ, "germ_file": cfg.germ_file or "",
-        "time_extent": "" if cfg.time_extent is None else cfg.time_extent,
-        "allow_integer_orders": cfg.allow_integer_orders,
-    }
-
-
-def parse_scaling(text) -> Scaling:
-    """Grading from comma-separated axis weights, such as ``"2,1"``."""
-    try:
-        return Scaling(tuple(int(x) for x in str(text).split(",")))
-    except ValueError as exc:
-        raise ValidationError(f"invalid scaling {text!r}: {exc}") from None
+    return {s.key: s.show(getattr(cfg, name)) for name, s in SETTINGS}
 
 
 def parse_config_text(text: str) -> dict:
@@ -341,45 +377,21 @@ def parse_config_text(text: str) -> dict:
 
 
 def config_from_mapping(kv: dict) -> ExperimentConfig:
-    """Config from string values; a key it does not read is invalid input."""
-    known = set()
-
-    def get(key, convert, default=None):
-        """The value under ``key`` (or the default) through ``convert``; a
-        value that does not convert is invalid input naming its key."""
-        known.add(key)
-        v = kv.get(key)
+    """Config from its settings' text values, keyed as in config files; an
+    empty or missing value takes the default, a value that does not parse
+    or a key no setting reads is invalid input."""
+    unknown = sorted(set(kv) - {s.key for _, s in SETTINGS})
+    if unknown:
+        raise ValidationError(f"unknown config key {', '.join(map(repr, unknown))}")
+    values = {}
+    for name, s in SETTINGS:
+        v = kv.get(s.key)
         if v in ("", None):
-            v = default
-        if v is None:
-            return None
+            continue
         try:
-            return convert(v)
+            values[name] = s.parse(v)
         except ValidationError:
             raise
         except ValueError as exc:
-            raise ValidationError(f"invalid {key} {v!r}: {exc}") from None
-
-    germ = get("germ", str, "jet")
-    cfg = ExperimentConfig(
-        scaling=get("scaling", parse_scaling, "1,1"),
-        operator=get("operator", str, "laplacian"),
-        operator_file=get("operator_file", str),
-        eta=get("eta", float, 1.5),
-        alpha=get("alpha", float, 0.5),
-        radius=get("radius", int, 8),
-        # a germ file brings its own grid scale
-        eps_list=get("eps", lambda v: tuple(float(x) for x in str(v).split(",")),
-                     None if germ == "file" else "1") or (),
-        ensemble=get("ensemble", int, 1),
-        seed=get("seed", int, 0),
-        germ=germ,
-        germ_file=get("germ_file", str),
-        time_extent=get("time_extent", int),
-        allow_integer_orders=get("allow_integer_orders",
-                                 lambda v: str(v).lower() in ("1", "true", "yes"), "0"),
-    )
-    unknown = sorted(set(kv) - known)
-    if unknown:
-        raise ValidationError(f"unknown config key {', '.join(map(repr, unknown))}")
-    return cfg
+            raise ValidationError(f"invalid {s.key} {v!r}: {exc}") from None
+    return ExperimentConfig(**values)

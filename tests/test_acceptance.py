@@ -281,8 +281,8 @@ def test_criterion_11_ivp_probe():
         for T in (8, 16):
             cfg = ExperimentConfig(Scaling((2, 1)), operator="heat", eta=1.5,
                                    alpha=0.5, radius=8, ensemble=5, seed=7,
-                                   time_extent=T)
-            reports = run_probe(cfg, "ivp", zero_initial=True)
+                                   time_extent=T, mode="ivp", zero_initial=True)
+            reports = run_probe(cfg)
             assert len(reports) == 5
             for rep in reports:
                 assert rep.rhs_initial <= 1e-10

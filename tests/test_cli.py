@@ -218,13 +218,30 @@ def test_probe_window_too_large_exits_one(capsys):
     # rejected before the scan grid is allocated
     (("ellipticity", "--preset", "laplacian", "--resolution", "100000000"), "scan points"),
     (("liouville", "--preset", "laplacian", "--eta", "1", "--zero-search",
-      "--resolution", "100000000"), "scan points"),
+      "--resolution", "100000000"), "scan points"),    (("probe", "--mode", "ivp", "--scaling", "2,1", "--preset", "heat", "--eta", "1.5",
+      "--alpha", "0.5", "--time-extent", "-3"), "time extent must be >= 1"),
+    (("probe", "--mode", "ivp", "--scaling", "2,1", "--preset", "heat", "--eta", "1.5",
+      "--alpha", "0.5", "--time-extent", "0"), "time extent must be >= 1"),
 ])
 def test_malformed_number_flags_exit_one(tmp_path, capsys, argv, what):
     files = {"GERM": str(zero_germ_file(tmp_path)), "FIELD": str(partial_field_file(tmp_path))}
     code, out, err = run_cli(capsys, *(files.get(a, a) for a in argv))
     assert code == 1 and out == ""
     assert err.startswith("germcalc") and err.count("\n") == 1 and what in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("ellipticity", "--preset", "laplacian", "--eps", "1e-200"),
+    ("symbol", "--preset", "laplacian", "--theta", "1,1", "--eps", "1e-200"),
+    ("probe", "--scaling", "1", "--window", "4", "--eta", "1.5", "--alpha", "0.5",
+     "--eps", "1e-200"),
+])
+def test_overflow_exits_two(capsys, argv):
+    # eps ** -m overflows a float: a computation error, reported in one line
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("germcalc: OverflowError: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_kernel_window_cap_names_eta(capsys):
@@ -329,7 +346,8 @@ def test_probe_unknown_config_key_exits_one(tmp_path, capsys):
     assert "'seeed'" in err and "'threads'" in err
 
 
-def test_probe_germ_file_evaluated_once(tmp_path, capsys, monkeypatch):
+def _jet_germ_file(tmp_path):
+    """A 1D Laplacian jet germ at eps 0.5, saved to a file."""
     from germcalc import harness
 
     L = preset_operator("laplacian", 1)
@@ -338,6 +356,39 @@ def test_probe_germ_file_evaluated_once(tmp_path, capsys, monkeypatch):
                                        w).u, w, 1)
     path = tmp_path / "jet.germ"
     save_germ(U, path)
+    return path
+
+
+@pytest.mark.parametrize("flags", [
+    ("--scaling", "1", "--window", "6", "--eps", "1,0.5", "--ensemble", "2", "--seed", "3"),
+    ("--scaling", "1,1", "--germ", "frozen", "--window", "3", "--seed", "1"),
+    ("--mode", "ivp", "--zero-initial", "--scaling", "2,1", "--preset", "heat",
+     "--window", "4", "--ensemble", "2", "--seed", "3"),
+    ("--mode", "local", "--rho", "2", "--scaling", "1", "--window", "6", "--ensemble", "2",
+     "--seed", "4"),
+    ("--scaling", "1", "--germ", "file", "--germ-file", "GERM"),
+], ids=["jet", "frozen", "ivp", "local", "file"])
+def test_probe_summary_config_replays_the_run(tmp_path, capsys, flags):
+    # the summary's config, written as a config file, reproduces the CSV
+    files = {"GERM": str(_jet_germ_file(tmp_path))}
+    flags = tuple(files.get(a, a) for a in flags)
+    a_csv, b_csv, cfg = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "replay.cfg"
+    code, out, _ = run_cli(capsys, "probe", *flags, "--json", "--out", str(a_csv))
+    assert code == 0
+    config = json.loads(out)["config"]
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in config.items()))
+    code, out, _ = run_cli(capsys, "probe", "--config", str(cfg), "--json",
+                           "--out", str(b_csv))
+    assert code == 0
+    assert json.loads(out)["config"] == config
+    assert b_csv.read_bytes() == a_csv.read_bytes()
+
+
+def test_probe_germ_file_evaluated_once(tmp_path, capsys, monkeypatch):
+    from germcalc import harness
+
+    L = preset_operator("laplacian", 1)
+    path = _jet_germ_file(tmp_path)
     loads = []
     monkeypatch.setattr(harness, "load_germ", lambda p: loads.append(p) or load_germ(p))
     out_csv = tmp_path / "file.csv"

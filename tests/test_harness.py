@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -98,11 +99,11 @@ def test_probe_rescale_invariance():
 def test_ivp_probe_zero_initial_and_time_constant():
     cfg = ExperimentConfig(Scaling((2, 1)), operator="heat", eta=1.5, alpha=0.5,
                            radius=6, ensemble=2, seed=3, time_extent=8)
-    reports = run_probe(cfg, "ivp", zero_initial=True)
+    reports = run_probe(replace(cfg, mode="ivp", zero_initial=True))
     for rep in reports:
         assert rep.rhs_initial <= 1e-10
         assert math.isfinite(rep.ratio)
-    reports = run_probe(cfg, "ivp")
+    reports = run_probe(replace(cfg, mode="ivp"))
     assert any(r.rhs_initial > 0 for r in reports)
 
 
@@ -110,14 +111,14 @@ def test_ivp_probe_validation():
     cfg = ExperimentConfig(Scaling((1, 1)), operator="laplacian", eta=1.5,
                            alpha=0.5, radius=4, ensemble=1, seed=0)
     with pytest.raises(ValidationError):
-        run_probe(cfg, "ivp")
+        run_probe(replace(cfg, mode="ivp"))
 
 
 def test_local_probe_matches_global_for_huge_radius():
     cfg = ExperimentConfig(Scaling((1,)), eta=1.5, alpha=0.5, radius=8,
                            ensemble=1, seed=11)
     glob = run_probe(cfg)[0]
-    loc = run_probe(cfg, "local", rho=1e6)[0]
+    loc = run_probe(replace(cfg, mode="local", rho=1e6))[0]
     assert loc.lhs == pytest.approx(glob.lhs, rel=1e-12)
     assert loc.rhs_operator == pytest.approx(glob.rhs_operator, rel=1e-12)
     # the extra rho**-eta sup term is negligible at this radius
@@ -129,7 +130,7 @@ def test_local_probe_rho_sweep_bounded():
                            ensemble=2, seed=13)
     ratios = []
     for rho in (2.0, 4.0, 8.0):
-        reps = run_probe(cfg, "local", rho=rho)
+        reps = run_probe(replace(cfg, mode="local", rho=rho))
         ratios.extend(r.ratio for r in reps)
     assert all(math.isfinite(r) for r in ratios)
 
@@ -146,19 +147,29 @@ def test_config_validation_errors():
         ExperimentConfig(Scaling((1,)), eta=1.5, alpha=0.5, germ="file").validate()
     with pytest.raises(ValidationError):  # 81 points per axis, above the window cap
         ExperimentConfig(Scaling((1,)), eta=1.5, alpha=0.5, radius=40).validate()
+    for extent in (0, -3):
+        with pytest.raises(ValidationError, match="time extent must be >= 1"):
+            ExperimentConfig(Scaling((2, 1)), operator="heat", mode="ivp",
+                             time_extent=extent).validate()
     assert cfg.validate().order == 2
 
 
 def test_config_round_trip(tmp_path):
-    cfg = ExperimentConfig(Scaling((2, 1)), operator="heat", eta=1.7, alpha=0.3,
+    ivp = ExperimentConfig(Scaling((2, 1)), operator="heat", eta=1.7, alpha=0.3,
                            radius=5, eps_list=(1.0, 0.5), ensemble=4, seed=99,
-                           germ="jet", time_extent=10, allow_integer_orders=True)
-    assert config_from_mapping(config_to_dict(cfg)) == cfg
-    text = "\n".join(f"{k}={v}" for k, v in config_to_dict(cfg).items())
-    path = tmp_path / "probe.cfg"
-    path.write_text(text + "\n# comment line\n")
-    cfg2 = config_from_mapping(parse_config_text(path.read_text()))
-    assert cfg2 == cfg
+                           germ="jet", time_extent=10, allow_integer_orders=True,
+                           mode="ivp", zero_initial=True)
+    local = ExperimentConfig(Scaling((1,)), mode="local", rho=2.5)
+    for cfg in (ivp, local):
+        assert config_from_mapping(config_to_dict(cfg)) == cfg
+        assert config_from_mapping(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+        text = "\n".join(f"{k}={v}" for k, v in config_to_dict(cfg).items())
+        path = tmp_path / "probe.cfg"
+        path.write_text(text + "\n# comment line\n")
+        cfg2 = config_from_mapping(parse_config_text(path.read_text()))
+        assert cfg2 == cfg
+    # an unset ivp time extent is the one the run uses, twice the radius
+    assert config_to_dict(replace(ivp, time_extent=None))["time_extent"] == 10
 
 
 def test_csv_and_summary():
