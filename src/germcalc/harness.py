@@ -40,7 +40,11 @@ def parse_scaling(text) -> Scaling:
 
 
 def parse_bool(text) -> bool:
-    return str(text).lower() in ("1", "true", "yes")
+    """1/true/yes or 0/false/no, in any case."""
+    word = str(text).lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError("expected one of 1, true, yes, 0, false, no")
+    return word in ("1", "true", "yes")
 
 
 def _show(value):

@@ -76,48 +76,41 @@ def _bump(t: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BumpMember:
-    """Tensor bump (optionally odd-modulated along one axis).
+class TestFunctionFamily:
+    """Finite family of smooth bumps with unit-ball support and C^k norm <= 1.
 
-    Supported in the box with half-width ``d**(-s_j)`` per axis, which sits
-    inside the closed unit anisotropic ball.
+    Member 0 is the tensor bump, member ``1 + j`` its odd modulation by
+    ``t_j``; all are supported in the box with half-width ``d**(-s_j)`` per
+    axis, which sits inside the closed unit anisotropic ball.
+    ``norm_const`` holds one C^k constant per member.
     """
 
     scaling: Scaling
-    axis: int | None
-    norm_const: float = 1.0
-
-    def raw(self, Y: np.ndarray) -> np.ndarray:
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        d = self.scaling.d
-        out = np.ones(Y.shape[0])
-        for j, s in enumerate(self.scaling.s):
-            t = Y[:, j] * float(d ** s)
-            out = out * _bump(t)
-            if self.axis == j:
-                out = out * t
-        return out
-
-    def __call__(self, Y: np.ndarray) -> np.ndarray:
-        return self.raw(Y) * self.norm_const
-
-
-@dataclass(frozen=True)
-class TestFunctionFamily:
-    """Finite family of smooth bumps with unit-ball support and C^k norm <= 1."""
-
-    scaling: Scaling
     k: int
-    members: tuple[BumpMember, ...]
+    norm_const: tuple[float, ...]
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.norm_const)
+
+    def raw(self, Y: np.ndarray) -> np.ndarray:
+        """(size, n) unnormalised member values at the n points Y."""
+        Y = np.atleast_2d(np.asarray(Y, dtype=float))
+        d = self.scaling.d
+        out = np.ones((1 + d, Y.shape[0]))
+        for j, s in enumerate(self.scaling.s):
+            t = Y[:, j] * float(d ** s)
+            out *= _bump(t)
+            out[1 + j] *= t
+        return out
+
+    def __call__(self, Y: np.ndarray) -> np.ndarray:
+        return self.raw(Y) * np.array(self.norm_const)[:, None]
 
 
-def _derivative_sup_estimate(member: BumpMember, k: int) -> float:
-    """Largest sup of any derivative with weighted order <= k (grid estimate)."""
-    scaling = member.scaling
+def _derivative_sup_estimate(scaling: Scaling, k: int) -> np.ndarray:
+    """Per member, the largest sup of any derivative with weighted order <= k
+    (grid estimate)."""
     d = scaling.d
     n = {1: 801, 2: 161, 3: 61}.get(d, 41)
     axes = []
@@ -128,14 +121,15 @@ def _derivative_sup_estimate(member: BumpMember, k: int) -> float:
         spacings.append(axes[-1][1] - axes[-1][0])
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    base_vals = member.raw(pts).reshape([n] * d)
-    worst = 0.0
+    unit = TestFunctionFamily(scaling, k, (1.0,) * (1 + d))
+    base_vals = unit.raw(pts).reshape([1 + d] + [n] * d)
+    worst = np.zeros(1 + d)
     for gamma in multi_indices(scaling, k):
         arr = base_vals
         for j, g in enumerate(gamma):
             for _ in range(g):
-                arr = np.gradient(arr, spacings[j], axis=j)
-        worst = max(worst, float(np.max(np.abs(arr))))
+                arr = np.gradient(arr, spacings[j], axis=1 + j)
+        worst = np.maximum(worst, np.max(np.abs(arr).reshape(1 + d, -1), axis=1))
     return worst
 
 
@@ -151,19 +145,16 @@ def build_default_family(scaling: Scaling, k: int) -> TestFunctionFamily:
     """
     key = (scaling.s, int(k))
     if key not in _FAMILY_CACHE:
-        members = []
-        for axis in [None] + list(range(scaling.d)):
-            raw = BumpMember(scaling, axis)
-            cap = _derivative_sup_estimate(raw, k)
-            members.append(BumpMember(scaling, axis, 1.0 / (cap * 1.02)))
-        _FAMILY_CACHE[key] = TestFunctionFamily(scaling, int(k), tuple(members))
+        caps = _derivative_sup_estimate(scaling, k)
+        _FAMILY_CACHE[key] = TestFunctionFamily(
+            scaling, int(k), tuple(float(c) for c in 1.0 / (caps * 1.02)))
     return _FAMILY_CACHE[key]
 
 
 def verify_family(family: TestFunctionFamily) -> bool:
     """Re-estimate every member's C^k norm; true when all are <= 1 + 1e-4."""
-    return all(_derivative_sup_estimate(m, family.k) * abs(m.norm_const) <= 1 + 1e-4
-               for m in family.members)
+    caps = _derivative_sup_estimate(family.scaling, family.k)
+    return bool(np.all(caps * np.abs(family.norm_const) <= 1 + 1e-4))
 
 
 def lambda_grid(eps: float, lam_max: float) -> np.ndarray:
@@ -175,17 +166,21 @@ def lambda_grid(eps: float, lam_max: float) -> np.ndarray:
     return eps * ratio ** np.arange(max(n, 1))
 
 
-def scaled_test_values(member: BumpMember, lam: float, xcoord: np.ndarray,
+def scaled_test_values(family: TestFunctionFamily, lam: float, xcoord: np.ndarray,
                        pts: np.ndarray) -> np.ndarray:
-    """Values of the recentered, rescaled member at the given points."""
-    scaling = member.scaling
+    """(members, points) values of the recentered, rescaled family."""
+    scaling = family.scaling
     T = (pts - xcoord[None, :]) / np.array([lam ** s for s in scaling.s])[None, :]
-    return member(T) * lam ** (-scaling.homogeneity)
+    return family(T) * lam ** (-scaling.homogeneity)
 
 
-def pairing(f: np.ndarray, g: np.ndarray, eps: float, scaling: Scaling) -> complex:
-    """Discrete pairing: eps**(sum s) times the plain sum of products."""
-    return (eps ** scaling.homogeneity) * complex(np.sum(np.asarray(f) * np.asarray(g)))
+def pairing(f: np.ndarray, g: np.ndarray, eps: float, scaling: Scaling):
+    """Discrete pairing: eps**(sum s) times the plain sum of products over
+    the axes of f; leading axes of g give one pairing per row."""
+    f = np.asarray(f)
+    g = np.asarray(g)
+    axes = tuple(range(g.ndim - f.ndim, g.ndim))
+    return (eps ** scaling.homogeneity) * np.sum(f * g, axis=axes)
 
 
 # ---------------------------------------------------------------------------
@@ -205,24 +200,28 @@ def norm_G_eta(U: Germ, eta: float, R: float | None = None) -> NormReport:
     mask = _within(D, R)
     name = "G_eta" if R is None else "G_eta_local"
     params = {"eta": eta} | ({} if R is None else {"R": R})
-    if not mask.any():
-        return NormReport(name, 0.0, params, {}, window_descriptor(U))
-    ratios = np.zeros_like(D)
-    ratios[mask] = np.abs(U.values[mask]) / _pow_dist(D[mask], eta)
-    b, a = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
-    wit = {"base": tuple(U.base.indices()[b]), "active": tuple(U.active.indices()[a])}
-    return NormReport(name, float(ratios[b, a]), params, wit, window_descriptor(U))
+    return _masked_max(U, name, params, mask,
+                       np.abs(U.values[mask]) / _pow_dist(D[mask], eta))
 
 
 def sup_below(U: Germ, R: float) -> NormReport:
     """Plain sup of |U_x(y)| over pairs with d(x, y) < R."""
     mask = U.distances < R
+    return _masked_max(U, "sup_below", {"R": R}, mask, np.abs(U.values[mask]))
+
+
+def _masked_max(U: Germ, name: str, params: dict, mask: np.ndarray,
+                masked: np.ndarray) -> NormReport:
+    """Largest of the values ``masked`` given on the (base, active) pairs in
+    ``mask``, witnessed by the first such pair; -inf elsewhere keeps the
+    witness inside the mask."""
     if not mask.any():
-        return NormReport("sup_below", 0.0, {"R": R}, {}, window_descriptor(U))
-    vals = np.where(mask, np.abs(U.values), -np.inf)
+        return NormReport(name, 0.0, params, {}, window_descriptor(U))
+    vals = np.full(mask.shape, -np.inf)
+    vals[mask] = masked
     b, a = np.unravel_index(int(np.argmax(vals)), vals.shape)
     wit = {"base": tuple(U.base.indices()[b]), "active": tuple(U.active.indices()[a])}
-    return NormReport("sup_below", float(vals[b, a]), {"R": R}, wit, window_descriptor(U))
+    return NormReport(name, float(vals[b, a]), params, wit, window_descriptor(U))
 
 
 # ---------------------------------------------------------------------------
@@ -553,48 +552,46 @@ def seminorm_G_gamma(V: Germ, gamma: float, R: float | None = None) -> NormRepor
     """Sup over family members, base points and admissible scales of
     ``lam**(-gamma) |<V_x, phi_x^lam>_eps|``.
 
-    Scales run over a geometric grid from eps up to the window radius (or R
-    when given); placements whose closed ball exits the active window are
-    skipped.
+    Scales run over a geometric grid from eps up to the window radius (below
+    R when given); placements whose closed ball exits the active window are
+    skipped.  Each placement pairs every member at once; the witness is the
+    first (base, scale, member) in that order with the largest value.
     """
     if not gamma < 0:
         raise ValidationError("gamma must be negative")
-    scaling = V.scaling
-    family = build_default_family(scaling, int(math.ceil(-gamma)))
+    family = build_default_family(V.scaling, int(math.ceil(-gamma)))
     act = V.active
-    lam_cap = act.diameter() / 2
-    strict = False
+    lams = lambda_grid(V.eps, act.diameter() / 2)
     if R is not None:
-        lam_cap = min(lam_cap, R)
-        strict = True
-    lams = lambda_grid(V.eps, lam_cap)
-    if strict:
         lams = lams[lams < R]
     name = "G_gamma" if R is None else "G_gamma_local"
     params = {"gamma": gamma, "k": family.k} | ({} if R is None else {"R": R})
     base_idx = V.base.indices()
-    B = V.base.coords()
-    A = act.coords()
     best = -1.0
     bw: dict = {}
-    admissible = False
     for xf in range(V.base.npoints):
         for lam in lams:
             if not act.ball_fits(base_idx[xf], lam):
                 continue
-            admissible = True
-            pos = act.ball(base_idx[xf], lam)
-            pts = A[pos]
-            vx = V.values[xf][pos]
-            for mi, member in enumerate(family.members):
-                phi = scaled_test_values(member, float(lam), B[xf], pts)
-                val = abs(pairing(vx, phi, V.eps, scaling)) * lam ** (-gamma)
-                if val > best:
-                    best = float(val)
-                    bw = {"base": tuple(base_idx[xf]), "lam": float(lam), "member": mi}
-    if not admissible:
+            vals = _placement_pairings(V, family, xf, float(lam)) * lam ** (-gamma)
+            mi = int(np.argmax(vals))
+            if vals[mi] > best:
+                best = float(vals[mi])
+                bw = {"base": tuple(base_idx[xf]), "lam": float(lam), "member": mi}
+    if best < 0:
         raise DomainTooSmallError("no test-function placement fits the window")
-    return NormReport(name, max(best, 0.0), params, bw, window_descriptor(V))
+    return NormReport(name, best, params, bw, window_descriptor(V))
+
+
+def _placement_pairings(V: Germ, family: TestFunctionFamily, xf: int,
+                        lam: float) -> np.ndarray:
+    """``|<V_x, phi_x^lam>_eps|`` of every family member phi, x the base
+    point ``xf``.  The modulus is libm's hypot, as Python's complex abs;
+    numpy's complex abs differs from it in the last bit."""
+    pos = V.active.ball(V.base.indices()[xf], lam)
+    phi = scaled_test_values(family, lam, V.base.coords()[xf], V.active.coords()[pos])
+    p = pairing(V.values[xf][pos], phi, V.eps, V.scaling)
+    return np.hypot(p.real, p.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +641,6 @@ def reevaluate_report(report: NormReport, U: Germ) -> float:
     w = report.witness
     if not w:
         return 0.0
-    scaling = U.scaling
     if report.name.startswith("G_eta_alpha"):
         xf = U.base.flat(w["base_x"])
         yf = U.base.flat(w["base_y"])
@@ -655,15 +651,9 @@ def reevaluate_report(report: NormReport, U: Germ) -> float:
         b, a = U.base.flat(w["base"]), U.active.flat(w["active"])
         return float(abs(U.values[b, a]) / U.distances[b, a] ** report.params["eta"])
     if report.name.startswith("G_gamma"):
-        family = build_default_family(scaling, report.params["k"])
-        xf = U.base.flat(w["base"])
-        lam = w["lam"]
-        pos = U.active.ball(w["base"], lam)
-        pts = U.active.coords()[pos]
-        phi = scaled_test_values(family.members[w["member"]], lam,
-                                 U.base.coords()[xf], pts)
-        val = abs(pairing(U.values[xf][pos], phi, U.eps, scaling))
-        return float(val * lam ** (-report.params["gamma"]))
+        family = build_default_family(U.scaling, report.params["k"])
+        vals = _placement_pairings(U, family, U.base.flat(w["base"]), w["lam"])
+        return float(vals[w["member"]] * w["lam"] ** (-report.params["gamma"]))
     if report.name == "sup_below":
         return float(abs(U.values[U.base.flat(w["base"]), U.active.flat(w["active"])]))
     raise ValueError(f"unknown report kind {report.name}")

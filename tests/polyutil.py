@@ -3,17 +3,20 @@ brute-force weighted minimax fit, the neighbor form of the discrete Laplacian,
 the probe sides after a joint rescale, the centering check of a germ, scale
 maps applied to points and composed, window membership, the falling-factorial
 difference rule, kernel elements evaluated in floats, the centered rigidity
-matrix and the absorption weights built and checked on ``Fraction``s."""
+matrix, the absorption weights built and checked on ``Fraction``s, and the
+negative-order semi-norm summed one bump member at a time."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 
 import numpy as np
 
-from germcalc import Germ, ScaleMap, Scaling, WeightSystem, scale_germ, schauder_sides
+from germcalc import (Germ, ScaleMap, Scaling, WeightSystem, lambda_grid, scale_germ,
+                      schauder_sides)
 from germcalc._minimax import weighted_lstsq
 from germcalc.coeff_bounds import first_differing_component
 from germcalc.errors import DimensionError, ValidationError, VerificationError
@@ -21,6 +24,7 @@ from germcalc.geometry import MultiIndex, multi_indices
 from germcalc.germs import (Window, difference_coefficients, falling_factorial,
                             forward_differences)
 from germcalc.liouville import KernelBasis, _centered_rows
+from germcalc.norms import _bump
 
 
 class Poly:
@@ -416,3 +420,109 @@ def reference_construct_weights(scaling: Scaling, eta: float, delta: float) -> W
     if not ok:
         raise VerificationError(f"constructed weights fail their own invariant (worst {worst})")
     return system
+
+
+@dataclass(frozen=True)
+class BumpMember:
+    """Tensor bump (optionally odd-modulated along one axis).
+
+    Supported in the box with half-width ``d**(-s_j)`` per axis, which sits
+    inside the closed unit anisotropic ball.
+    """
+
+    scaling: Scaling
+    axis: int | None
+    norm_const: float = 1.0
+
+    def raw(self, Y: np.ndarray) -> np.ndarray:
+        Y = np.atleast_2d(np.asarray(Y, dtype=float))
+        d = self.scaling.d
+        out = np.ones(Y.shape[0])
+        for j, s in enumerate(self.scaling.s):
+            t = Y[:, j] * float(d ** s)
+            out = out * _bump(t)
+            if self.axis == j:
+                out = out * t
+        return out
+
+    def __call__(self, Y: np.ndarray) -> np.ndarray:
+        return self.raw(Y) * self.norm_const
+
+
+def member_sup_estimate(member: BumpMember, k: int) -> float:
+    """Largest sup of any derivative with weighted order <= k (grid estimate)."""
+    scaling = member.scaling
+    d = scaling.d
+    n = {1: 801, 2: 161, 3: 61}.get(d, 41)
+    axes = []
+    spacings = []
+    for s in scaling.s:
+        b = float(d ** (-s))
+        axes.append(np.linspace(-b, b, n))
+        spacings.append(axes[-1][1] - axes[-1][0])
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    base_vals = member.raw(pts).reshape([n] * d)
+    worst = 0.0
+    for gamma in multi_indices(scaling, k):
+        arr = base_vals
+        for j, g in enumerate(gamma):
+            for _ in range(g):
+                arr = np.gradient(arr, spacings[j], axis=j)
+        worst = max(worst, float(np.max(np.abs(arr))))
+    return worst
+
+
+@cache
+def reference_family(s: tuple[int, ...], k: int) -> tuple[BumpMember, ...]:
+    """The canonical bump and one odd modulation per axis, each normalised
+    by its own C^k estimate times 1.02."""
+    scaling = Scaling(s)
+    members = []
+    for axis in [None] + list(range(scaling.d)):
+        cap = member_sup_estimate(BumpMember(scaling, axis), k)
+        members.append(BumpMember(scaling, axis, 1.0 / (cap * 1.02)))
+    return tuple(members)
+
+
+def reference_G_gamma(V: Germ, gamma: float, R: float | None = None):
+    """(value, witness) of the negative-order semi-norm, one member, base
+    point and scale at a time; None when no placement fits."""
+    scaling = V.scaling
+    k = int(math.ceil(-gamma))
+    members = reference_family(scaling.s, k)
+    act = V.active
+    lam_cap = act.diameter() / 2
+    strict = False
+    if R is not None:
+        lam_cap = min(lam_cap, R)
+        strict = True
+    lams = lambda_grid(V.eps, lam_cap)
+    if strict:
+        lams = lams[lams < R]
+    base_idx = V.base.indices()
+    B = V.base.coords()
+    A = act.coords()
+    scale = V.eps ** scaling.homogeneity
+    best = -1.0
+    bw: dict = {}
+    admissible = False
+    for xf in range(V.base.npoints):
+        for lam in lams:
+            if not act.ball_fits(base_idx[xf], lam):
+                continue
+            admissible = True
+            pos = act.ball(base_idx[xf], lam)
+            pts = A[pos]
+            vx = V.values[xf][pos]
+            for mi, member in enumerate(members):
+                T = (pts - B[xf][None, :]) / np.array([float(lam) ** s
+                                                       for s in scaling.s])[None, :]
+                phi = member(T) * float(lam) ** (-scaling.homogeneity)
+                val = abs(scale * complex(np.sum(vx * phi))) * lam ** (-gamma)
+                if val > best:
+                    best = float(val)
+                    bw = {"base": tuple(base_idx[xf]), "lam": float(lam), "member": mi}
+    if not admissible:
+        return None
+    return max(best, 0.0), bw

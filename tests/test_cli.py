@@ -314,6 +314,16 @@ def test_malformed_config_number_exits_one(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+def test_malformed_config_bool_exits_one(tmp_path, capsys):
+    for key, value in (("zero_initial", "maybe"), ("allow_integer_orders", "nope")):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"scaling=1\nradius=4\n{key}={value}\n")
+        code, _, err = run_cli(capsys, "probe", "--config", str(cfg))
+        assert code == 1
+        assert err.startswith(f"germcalc: invalid input: invalid {key} {value!r}")
+        assert err.count("\n") == 1
+
+
 def _assert_one_line_exit_one(code, err, where, what, name):
     assert code == 1, name
     assert err.startswith("germcalc: invalid input:") and err.count("\n") == 1, name

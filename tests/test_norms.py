@@ -19,7 +19,7 @@ from germcalc.norms import (_base_columns, _descending, _factor_modulo_polynomia
 from germcalc._minimax import lp_minimax
 
 from conftest import box, germ_restricted, random_germ
-from polyutil import grid_minimax
+from polyutil import BumpMember, grid_minimax, reference_family, reference_G_gamma
 
 
 def dist_power_germ(scaling, eps, half, eta):
@@ -40,6 +40,20 @@ def test_G_eta_zero_and_exact_ratio():
     U = dist_power_germ(s, 1.0, 3, 1.5)
     rep = norm_G_eta(U, 1.5)
     assert rep.value == pytest.approx(1.0, abs=1e-13)
+
+
+def test_zero_germ_witness_inside_mask():
+    s = Scaling((1, 1))
+    w = box(s, 1.0, 2)
+    Z = Germ(w, w, np.zeros((w.npoints, w.npoints)))
+    for R in (None, 1.5):
+        reports = [norm_G_eta(Z, 1.5, R=R)] + ([] if R is None else [sup_below(Z, R)])
+        for rep in reports:
+            assert rep.value == 0.0
+            b, a = Z.base.flat(rep.witness["base"]), Z.active.flat(rep.witness["active"])
+            d = Z.distances[b, a]
+            assert (0 < d or rep.name == "sup_below") and (R is None or d < R)
+            assert reevaluate_report(rep, Z) == 0.0
 
 
 def test_G_eta_local_restriction_inactive(rng):
@@ -146,12 +160,28 @@ def test_family_support_and_norm():
     fam = build_default_family(s, 2)
     assert fam.size == 3
     assert verify_family(fam)
-    member = fam.members[0]
-    inside = member(np.array([[0.0, 0.0]]))
-    assert inside[0] > 0
+    inside = fam(np.array([[0.0, 0.0]]))
+    assert inside.shape == (3, 1)
+    assert inside[0, 0] > 0
     # outside the unit anisotropic ball the members vanish
-    outside = member(np.array([[0.3, 0.9], [1.1, 0.0], [0.0, -1.2]]))
+    outside = fam(np.array([[0.3, 0.9], [1.1, 0.0], [0.0, -1.2]]))
     assert np.max(np.abs(outside)) == 0.0
+
+
+@pytest.mark.parametrize("grading,k", [((1,), 1), ((1,), 2), ((1,), 3), ((1, 1), 1),
+                                       ((1, 1), 2), ((1, 1), 3), ((2, 1), 1), ((2, 1), 2),
+                                       ((2, 1), 3), ((1, 2), 1), ((1, 2), 2), ((1, 1, 1), 1)])
+def test_family_rows_match_members(grading, k):
+    """Each row of the family evaluation, and each C^k constant, is bit for
+    bit the one its member gets on its own."""
+    s = Scaling(grading)
+    fam = build_default_family(s, k)
+    members = reference_family(grading, k)
+    assert fam.norm_const == tuple(m.norm_const for m in members)
+    Y = np.random.default_rng(3).uniform(-1, 1, (50, s.d))
+    rows = fam.raw(Y)
+    for i, axis in enumerate([None] + list(range(s.d))):
+        assert np.array_equal(rows[i], BumpMember(s, axis).raw(Y))
 
 
 def test_lambda_grid():
@@ -179,13 +209,35 @@ def test_G_gamma_zero_and_constant_oracle():
         for lam in lambda_grid(1.0, w.diameter() / 2):
             if not w.ball_fits(idx[xf], lam):
                 continue
-            for member in fam.members:
-                total = 0.0
-                for af in w.ball(idx[xf], lam):
-                    total += float(scaled_test_values(member, float(lam),
-                                                      A[xf], A[af][None, :])[0])
-                best = max(best, lam ** 0.5 * abs(total))
+            totals = np.zeros(fam.size)
+            for af in w.ball(idx[xf], lam):
+                totals += scaled_test_values(fam, float(lam), A[xf], A[af][None, :])[:, 0]
+            best = max(best, lam ** 0.5 * float(np.max(np.abs(totals))))
     assert rep.value == pytest.approx(best, rel=1e-12)
+
+
+@given(st.sampled_from([(1,), (1, 1), (2, 1)]), st.sampled_from([1.0, 0.37]),
+       st.sampled_from([None, 0.9, 2.0]), st.sampled_from([-0.5, -1.5]),
+       st.sampled_from(["real", "complex", "ones", "zeros"]), st.integers(0, 2 ** 32 - 1))
+@example((1, 1), 1.0, None, -0.5, "ones", 0)
+@example((2, 1), 0.37, 0.9, -1.5, "complex", 1)
+@settings(max_examples=60, deadline=None)
+def test_G_gamma_matches_per_member_oracle(grading, eps, R, gamma, values, seed):
+    """One evaluation per placement gives the per-member loop's value and
+    witness (base, scale, member), ties included."""
+    s = Scaling(grading)
+    V = random_germ(np.random.default_rng(seed), s, eps=eps, half=5 if s.d == 1 else 3,
+                    cls=DistGerm, complex_values=values == "complex")
+    if values in ("ones", "zeros"):
+        V = DistGerm(V.base, V.active, np.full(V.values.shape, float(values == "ones")))
+    ref = reference_G_gamma(V, gamma, R)
+    if ref is None:
+        with pytest.raises(DomainTooSmallError):
+            seminorm_G_gamma(V, gamma, R)
+        return
+    rep = seminorm_G_gamma(V, gamma, R)
+    assert (rep.value, rep.witness) == ref
+    assert reevaluate_report(rep, V) == rep.value
 
 
 def test_G_gamma_domain_too_small():
