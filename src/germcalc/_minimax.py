@@ -30,13 +30,6 @@ def achieved_value(Phi: np.ndarray, r: np.ndarray, w: np.ndarray, c: np.ndarray)
     return float(np.max(np.abs(r - Phi @ c) / w)) if r.size else 0.0
 
 
-def weighted_lstsq(Phi: np.ndarray, r: np.ndarray, w: np.ndarray) -> np.ndarray:
-    if Phi.shape[1] == 0:
-        return np.zeros(0, dtype=r.dtype)
-    sol, *_ = np.linalg.lstsq(Phi / w[:, None], r / w, rcond=None)
-    return sol
-
-
 def _start_set(Phi: np.ndarray, order: np.ndarray):
     """Shortest prefix of ``order`` with over p points and Phi of rank p, or None."""
     p = Phi.shape[1]

@@ -328,7 +328,7 @@ def main(argv=None) -> int:
     except (ValidationError,) as exc:
         print(f"germcalc: invalid input: {exc}", file=sys.stderr)
         return 1
-    except (GermCalcError, OSError, ValueError, ArithmeticError) as exc:
+    except (GermCalcError, OSError, ValueError, ArithmeticError, MemoryError) as exc:
         print(f"germcalc: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -107,9 +107,9 @@ class WeightSystem:
         return self._verdict
 
     def to_text(self) -> str:
-        s = ",".join(str(x) for x in self.scaling.s)
         lines = ["# germcalc weights v1",
-                 f"d={self.scaling.d} s={s} eta={self.eta!r} delta={self.delta!r}"]
+                 f"d={self.scaling.d} s={self.scaling.to_text()} eta={self.eta!r} "
+                 f"delta={self.delta!r}"]
         for b in self.indices:
             lines.append(
                 f"beta={','.join(map(str, b))} kappa={self.kappa[b]} "
@@ -167,7 +167,7 @@ def _check_work(scaling: Scaling, eta: float, delta: float) -> None:
     n = count_multi_indices(scaling, eta, math.isqrt(MAX_WEIGHT_WORK // 5))
     if _weight_work(scaling, n, eta, delta) > MAX_WEIGHT_WORK:
         raise ValidationError(
-            f"--eta {eta:g} is too large for grading {','.join(map(str, scaling.s))} at "
+            f"--eta {eta:g} is too large for grading {scaling.to_text()} at "
             f"delta {delta:g}: the weights' predicted work passes the cap {MAX_WEIGHT_WORK}")
 
 

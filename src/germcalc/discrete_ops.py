@@ -458,9 +458,8 @@ def _e(j: int, d: int) -> MultiIndex:
 
 
 def operator_to_text(L: DiffOperator) -> str:
-    s = ",".join(str(x) for x in L.scaling.s)
     lines = [f"# germcalc operator v1",
-             f"d={L.d} s={s} m={L.order}"]
+             f"d={L.d} s={L.scaling.to_text()} m={L.order}"]
     for g, dl, a in L.terms:
         lines.append(f"gamma={','.join(map(str, g))} delta={','.join(map(str, dl))} "
                      f"re={a.real!r} im={a.imag!r}")
@@ -474,7 +473,7 @@ def operator_from_text(text: str) -> DiffOperator:
     no, head = rows[0]
     with _line_errors(lambda: f"operator header (line {no})"):
         fields = _key_values(head)
-        scaling = Scaling(tuple(int(x) for x in fields["s"].split(",")))
+        scaling = Scaling.from_text(fields["s"])
         m = int(fields["m"])
     terms = {}
     with _line_errors(lambda: f"operator line {no}"):

@@ -39,6 +39,16 @@ class Scaling:
             raise DimensionError(f"scaling entries must be >= 1, got {s}")
         object.__setattr__(self, "s", s)
 
+    @classmethod
+    def from_text(cls, text) -> Scaling:
+        """Grading from comma-separated axis weights, such as ``"2,1"``; a
+        weight that is not an integer raises ValueError."""
+        return cls(tuple(int(x) for x in str(text).split(",")))
+
+    def to_text(self) -> str:
+        """The weights comma-separated, as ``from_text`` reads them."""
+        return ",".join(map(str, self.s))
+
     @property
     def d(self) -> int:
         return len(self.s)

@@ -353,9 +353,8 @@ _FMT = "%.17g"
 
 
 def germ_to_text(U: Germ) -> str:
-    s = ",".join(str(x) for x in U.scaling.s)
     head = (f"# germcalc germ v1\n"
-            f"d={U.scaling.d} s={s} eps={_FMT % U.eps} "
+            f"d={U.scaling.d} s={U.scaling.to_text()} eps={_FMT % U.eps} "
             f"base_lo={_ints(U.base.lo)} base_hi={_ints(U.base.hi)} "
             f"act_lo={_ints(U.active.lo)} act_hi={_ints(U.active.hi)} "
             f"kind={'dist' if isinstance(U, DistGerm) else 'germ'}\n")
@@ -428,7 +427,7 @@ def germ_from_text(text: str) -> Germ:
     no, head = rows[0]
     with _line_errors(lambda: f"germ header (line {no})"):
         fields = _key_values(head)
-        scaling = Scaling(_parse_ints(fields["s"].replace(",", ";")))
+        scaling = Scaling.from_text(fields["s"])
         eps = _number(fields["eps"])
         base = Window(scaling, eps, _parse_ints(fields["base_lo"]), _parse_ints(fields["base_hi"]))
         active = Window(scaling, eps, _parse_ints(fields["act_lo"]), _parse_ints(fields["act_hi"]))
@@ -465,9 +464,8 @@ def field_to_text(values: np.ndarray, mask, window: Window) -> str:
     values = np.asarray(values, dtype=float).reshape(-1)
     mask = (np.ones(window.npoints, dtype=bool) if mask is None
             else np.asarray(mask, dtype=bool).reshape(-1))
-    s = ",".join(str(x) for x in window.scaling.s)
     head = (f"# germcalc field v1\n"
-            f"d={window.scaling.d} s={s} eps={_FMT % window.eps} "
+            f"d={window.scaling.d} s={window.scaling.to_text()} eps={_FMT % window.eps} "
             f"lo={_ints(window.lo)} hi={_ints(window.hi)}\n")
     idx = window.indices()
     lines = [",".join([_ints(idx[i]), _FMT % values[i], str(int(mask[i]))])
@@ -482,7 +480,7 @@ def field_from_text(text: str):
     no, head = rows[0]
     with _line_errors(lambda: f"field header (line {no})"):
         fields = _key_values(head)
-        scaling = Scaling(_parse_ints(fields["s"].replace(",", ";")))
+        scaling = Scaling.from_text(fields["s"])
         window = Window(scaling, _number(fields["eps"]),
                         _parse_ints(fields["lo"]), _parse_ints(fields["hi"]))
     values = np.zeros(window.npoints)

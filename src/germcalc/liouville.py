@@ -227,10 +227,9 @@ def _exponential_residual(L: DiffOperator, eps: float, theta) -> float:
 
 
 def kernel_basis_to_text(basis: KernelBasis) -> str:
-    s = ",".join(str(x) for x in basis.operator.scaling.s)
     lines = ["# germcalc kernel-basis v1",
-             f"d={basis.operator.d} s={s} eps={basis.eps!r} eta={basis.eta!r} "
-             f"dim={basis.dimension}",
+             f"d={basis.operator.d} s={basis.operator.scaling.to_text()} eps={basis.eps!r} "
+             f"eta={basis.eta!r} dim={basis.dimension}",
              "# monomials: " + " | ".join(",".join(map(str, g)) for g in basis.gammas)]
     for row in basis.vectors:
         if np.iscomplexobj(row):  # operators with complex coefficients

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._minimax import achieved_value, solve_minimax, weighted_lstsq
+from ._minimax import solve_minimax
 from .errors import (DimensionError, DomainTooSmallError, InputNotHolderError,
                      UnderdeterminedFitError, ValidationError)
 from .geometry import MultiIndex, Scaling, multi_indices
@@ -263,40 +263,21 @@ def _pair_problem(U: Germ, xf: int, yf: int, eta: float, alpha: float,
                   R: float | None):
     """Assemble (Phi, r, w) for one base pair; constant term pinned at z = y."""
     act = U.active
-    ycoord = U.base.coords()[yf]
     a_y = act.flat(U.base.indices()[yf])
     dyz = U.distances[yf]
-    dxy = float(U.distances[xf, a_y])
-    zmask = _within(dyz, R)
-    r_full = U.values[xf] - U.values[yf]
-    r = r_full[zmask] - r_full[a_y]
+    zs = np.nonzero(_within(dyz, R))[0]
+    # rows x and y alone: the column take then copies two rows, not the table
+    r = _increments(U.values[[xf, yf]], [0], 1, zs, a_y)[0]
     gammas = [g for g in multi_indices(U.scaling, math.floor(eta)) if any(g)]
-    Z = act.coords()[zmask] - ycoord[None, :]
-    Phi = _poly_columns(Z, gammas)
-    w = _weights(dxy, dyz[zmask], eta, alpha)
+    Phi = _poly_columns(act.coords()[zs] - U.base.coords()[yf][None, :], gammas)
+    w = _weights(float(U.distances[xf, a_y]), dyz[zs], eta, alpha)
     return Phi, r, w
 
 
 def pair_minimax(U: Germ, xf: int, yf: int, eta: float, alpha: float,
                  R: float | None = None):
-    """Weighted minimax value for one base pair (x, y).
-
-    Pairs whose least-squares bound already sits below the germ's numerical
-    noise level (1e-12 times the germ sup, divided by the smallest weight in
-    play) keep that bound: at that scale the increments are rounding noise
-    and the exact solve would only reshuffle it.  All other pairs are solved
-    exactly.
-    """
-    Phi, r, w = _pair_problem(U, xf, yf, eta, alpha, R)
-    if r.size:
-        c_ls = weighted_lstsq(Phi, np.ascontiguousarray(r.real), w)
-        if np.iscomplexobj(r) and np.any(r.imag):
-            c_ls = c_ls + 1j * weighted_lstsq(Phi, np.ascontiguousarray(r.imag), w)
-        ub = achieved_value(Phi, r, w, c_ls)
-        noise = 1e-12 * float(np.max(np.abs(U.values)))
-        if ub * float(np.min(w)) <= noise:
-            return ub, c_ls
-    return solve_minimax(Phi, r, w)
+    """Exact weighted minimax value and coefficients for one base pair (x, y)."""
+    return solve_minimax(*_pair_problem(U, xf, yf, eta, alpha, R))
 
 
 def seminorm_G_eta_alpha(U: Germ, eta: float, alpha: float,
@@ -307,16 +288,19 @@ def seminorm_G_eta_alpha(U: Germ, eta: float, alpha: float,
     the max over pairs.
 
     The weight vanishes at z = y, so the fit interpolates there exactly and
-    z = y is excluded from the max.  A cheap upper bound per pair orders the
-    exact solves; pairs that provably cannot beat the current max are
-    skipped, so the reported value is exact up to a 1e-12 relative slack.
-    The bounds are read off the table modulo polynomials when it has rank
-    zero there (``_quiet_bounds``); otherwise ``_screen_bounds`` fits once
-    per base point y and bucket of distances d(x, y), the common row of a
-    rank-one table or each pair's increment.  The pass visits the pairs in
-    descending bound order (then x, then y), sorting one block of the
-    largest bounds at a time (``_descending``), and the first pair with the
-    largest exact value is the witness.
+    z = y is excluded from the max.  A pair whose upper bound times a lower
+    bound on its least weight sits at or below the noise level, 1e-12
+    sup|U|, is rounding and is never solved.  A table of rank zero modulo
+    polynomials (a jet germ) shows that for every pair at once from
+    ``_factor_modulo_polynomials`` and reports 0 with an empty witness.
+    Otherwise ``_screen_bounds`` gives a cheap upper bound per pair, fitting
+    once per base point y and bucket of distances d(x, y) the common row of
+    a rank-one table or each pair's increment.  The pairs above the noise
+    level are solved exactly in descending bound order (then x, then y),
+    sorting one block of the largest bounds at a time (``_descending``),
+    until no bound can beat the best value so far; the reported value is
+    exact up to a 1e-12 relative slack, and the first pair with the largest
+    exact value is the witness.
     """
     if not (0 < alpha < eta):
         raise ValidationError("need 0 < alpha < eta")
@@ -334,30 +318,26 @@ def seminorm_G_eta_alpha(U: Germ, eta: float, alpha: float,
 
     Dxy = U.distances[:, a_pos]
     pairs = _within(Dxy, R)
-    # pairs at the germ's numerical noise level are screened in bulk; the
-    # exact solves run only where the bound carries signal
     noise = 1e-12 * float(np.max(np.abs(U.values)))
-    # jet and frozen-coefficient germs have rank <= 1 modulo polynomials up
-    # to that level; their bounds need no fit per pair
-    factor = _factor_modulo_polynomials(U, eta)
-    if 4 * float(np.max(factor[2])) > noise:
-        factor = None
-    bounds = None if factor is None else _quiet_bounds(U, Dxy, pairs, eta, alpha, R,
-                                                        factor, noise)
-    if bounds is None:
-        bounds = _screen_bounds(U, Dxy, a_pos, pairs, eta, alpha, R, gammas, factor)
-    ub, wmin, xs, ys = bounds
-    if ub.size == 0:
+    # cancelling only the polynomial part of an increment leaves
+    # ``(coef_x - coef_y)(psi(z) - psi(y)) + (e_x - e_y)(z) - (e_x - e_y)(y)``,
+    # at most ``2 (|coef_x - coef_y| sup|psi| + rho_x + rho_y)`` in modulus,
+    # which bounds the pair's value times its least weight: at the noise
+    # level for every pair, the table has rank 0 and nothing is solved
+    coef, psi, rho = factor = _factor_modulo_polynomials(U, eta)
+    xs, ys = np.nonzero(pairs)
+    if np.all(2 * (np.abs(coef[xs] - coef[ys]) * float(np.max(np.abs(psi))) +
+                   rho[xs] + rho[ys]) <= noise):
         return NormReport(name, 0.0, params, {}, window_descriptor(U))
-    # the exact solves run in descending bound order until no bound can beat
-    # the best value so far; of the quiet pairs only the largest bound is
-    # solved.  Complex data is solved with real and imaginary parts apart,
-    # which may land up to sqrt(2) above the least-squares fit, so its bound
-    # is widened by that
-    quiet = ub * wmin <= noise
-    cand = np.nonzero(~quiet)[0]
-    if quiet.any():
-        cand = np.append(cand, np.nonzero(quiet)[0][int(np.argmax(ub[quiet]))])
+    # frozen-coefficient germs have rank 1 modulo polynomials up to the
+    # noise level; their bounds need no fit per pair
+    if 4 * float(np.max(rho)) > noise:
+        factor = None
+    ub, wmin, xs, ys = _screen_bounds(U, Dxy, a_pos, pairs, eta, alpha, R, gammas, factor)
+    # pairs at the noise level are never solved.  Complex data is solved
+    # with real and imaginary parts apart, which may land up to sqrt(2)
+    # above the least-squares fit, so its bound is widened by that
+    cand = np.nonzero(ub * wmin > noise)[0]
     reach = ub * math.sqrt(2) if np.iscomplexobj(U.values) else ub
 
     base_idx = base.indices()
@@ -416,31 +396,6 @@ def _factor_modulo_polynomials(U: Germ, eta: float):
     E -= coef[:, None] * psi[None, :]
     rho = np.max(np.abs(E), axis=1) + 1e-15 * float(np.max(np.abs(U.values)))
     return coef, psi, rho
-
-
-def _quiet_bounds(U: Germ, Dxy: np.ndarray, pairs: np.ndarray, eta: float, alpha: float,
-                  R: float | None, factor, noise: float):
-    """Screen bounds without any fit, when every pair is certified quiet.
-
-    Cancelling only the polynomial part leaves the residual
-    ``(coef_x - coef_y)(psi(z) - psi(y)) + (e_x - e_y)(z) - (e_x - e_y)(y)``,
-    at most ``2 (|coef_x - coef_y| sup|psi| + rho_x + rho_y)`` in modulus.
-    Returns None unless that sits below ``noise`` for every pair; otherwise
-    (ub, wmin, xs, ys) in the order of the per-y screen.
-    """
-    coef, psi, rho = factor
-    ys, xs = np.nonzero(pairs.T)
-    spread = 2 * (np.abs(coef[xs] - coef[ys]) * float(np.max(np.abs(psi))) +
-                  rho[xs] + rho[ys])
-    if not np.all(spread <= noise):
-        return None
-    # the smallest weight of a pair sits at the z nearest to y
-    Dyz = U.distances
-    near = np.min(np.where(_within(Dyz, R), Dyz, np.inf), axis=1)[ys]
-    has_z = np.isfinite(near)
-    xs, ys, near, spread = xs[has_z], ys[has_z], near[has_z], spread[has_z]
-    wmin = _weights(Dxy[xs, ys], near, eta, alpha)
-    return spread / wmin, wmin, xs, ys
 
 
 #: Screen buckets per octave of d(x, y).  At 2 per octave the bounds loosen

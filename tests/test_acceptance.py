@@ -266,7 +266,7 @@ def test_criterion_10_schauder_ratio_stability():
         w = Window(cfg.scaling, 1.0, (-16,), (16,))
         from germcalc.harness import draw_source, solve_poisson
         for member in range(5):
-            u = solve_poisson(L, draw_source(member_rng(cfg.seed, member), w), w).u
+            u = solve_poisson(L, draw_source(member_rng(cfg.seed, member), w), w)
             U = jet_germ(u, w, 1)
             sides = schauder_sides(U, L, cfg.eta, cfg.alpha)
             r0 = sides["lhs"] / (sides["rhs_operator"] + sides["rhs_eta_alpha"])

@@ -7,7 +7,7 @@ import pytest
 
 from germcalc import (Germ, Scaling, WeightSystem, jet_germ, load_germ, preset_operator,
                       save_germ)
-from germcalc.cli import main
+from germcalc.cli import _HANDLERS, main
 from germcalc.coeff_bounds import MAX_WEIGHT_WORK
 from germcalc.liouville import MAX_KERNEL_MONOMIALS
 from germcalc.germs import Window, field_from_text, field_to_text
@@ -80,6 +80,16 @@ def test_norm_text_witness_is_json(tmp_path, capsys):
         assert code == 0 and "np." not in out and "array(" not in out, kind
         witness = out.splitlines()[1].removeprefix("witness: ")
         assert json.loads(witness) == json.loads(run_cli(capsys, *argv, "--json")[1])["witness"]
+
+
+def test_norm_jet_germ_eta_alpha_is_zero(tmp_path, capsys):
+    # a jet germ is rank 0 modulo polynomials: its three-point semi-norm is
+    # certified zero, with nothing solved and nothing to witness
+    code, out, _ = run_cli(capsys, "norm", "--kind", "G-eta-alpha", "--eta", "1.5",
+                           "--alpha", "0.5", "--germ", str(_jet_germ_file(tmp_path)), "--json")
+    assert code == 0
+    rec = json.loads(out)
+    assert (rec["name"], rec["value"], rec["witness"]) == ("G_eta_alpha", 0.0, {})
 
 
 def test_norm_missing_file_exits_two(tmp_path, capsys):
@@ -293,6 +303,19 @@ def test_failed_self_check_exits_two(capsys, monkeypatch):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_memory_error_exits_two(capsys, monkeypatch):
+    # running out of memory is a computation error, reported in one line
+
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 2.1 GiB for an array")
+
+    monkeypatch.setitem(_HANDLERS, "weights", exhausted)
+    code, out, err = run_cli(capsys, "weights", "--scaling", "2,1", "--eta", "3.5",
+                             "--delta", "0.1")
+    assert code == 2 and out == ""
+    assert err == "germcalc: MemoryError: Unable to allocate 2.1 GiB for an array\n"
+
+
 def test_malformed_scaling_exits_one(capsys):
     for argv in (("probe", "--scaling", "1,x", "--window", "4"),
                  ("probe", "--scaling", "0", "--window", "4"),
@@ -363,7 +386,7 @@ def _jet_germ_file(tmp_path):
     L = preset_operator("laplacian", 1)
     w = Window(L.scaling, 0.5, (-6,), (6,))
     U = jet_germ(harness.solve_poisson(L, harness.draw_source(harness.member_rng(5, 0), w),
-                                       w).u, w, 1)
+                                       w), w, 1)
     path = tmp_path / "jet.germ"
     save_germ(U, path)
     return path

@@ -75,6 +75,21 @@ def test_scaling_validation():
         ScaleMap(Scaling((1,)), (0.0,), 0.0)
 
 
+@pytest.mark.parametrize("weights", [(1,), (1, 1), (2, 1), (2, 1, 1), (12, 3)])
+def test_grading_text_round_trip(weights):
+    s = Scaling(weights)
+    assert s.to_text() == ",".join(map(str, weights))
+    assert Scaling.from_text(s.to_text()) == s
+
+
+def test_grading_text_rejects_malformed():
+    for text in ("2,x", "", "1;2", "2,,1"):
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            Scaling.from_text(text)
+    with pytest.raises(DimensionError, match="must be >= 1"):
+        Scaling.from_text("0,1")
+
+
 def test_pairwise_distance_matches_scalar(rng):
     s = Scaling((2, 1))
     X = rng.standard_normal((6, 2))

@@ -299,7 +299,7 @@ def test_restrict_initial_norm_matches_direct_slice():
     s = Scaling((2, 1))
     L = preset_operator("heat", 2)
     w = Window(s, 1.0, (0, -6), (8, 6))
-    u = solve_poisson(L, draw_source(member_rng(17, 0), w), w).u
+    u = solve_poisson(L, draw_source(member_rng(17, 0), w), w)
     U = jet_germ(u, w, 1)
     Rg = restrict_initial(U)
 

@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from germcalc import (ExperimentConfig, RatioReport, Scaling, preset_operator, run_probe,
-                      schauder_sides, solve_poisson, summarize)
+from germcalc import (ExperimentConfig, RatioReport, Scaling, apply_to_field, preset_operator,
+                      run_probe, schauder_sides, solve_poisson, summarize)
 from germcalc.errors import IllPosedSourceError, ValidationError
 from germcalc.germs import Window, jet_germ
 from germcalc.harness import (config_from_mapping, config_to_dict, draw_source,
@@ -16,25 +16,32 @@ from germcalc.harness import (config_from_mapping, config_to_dict, draw_source,
 from polyutil import rescaled_sides
 
 
+def _residual(L, u, f, w):
+    """Sup of ``L u - f`` on the window's inner part, where L applies."""
+    applied, inner = apply_to_field(L, u, w)
+    return float(np.max(np.abs(applied - f[inner.slice_in(w)])))
+
+
 def test_poisson_zero_source():
     L = preset_operator("laplacian", 1)
     w = Window(L.scaling, 1.0, (-8,), (8,))
-    res = solve_poisson(L, np.zeros(w.shape), w)
-    assert np.max(np.abs(res.u)) == 0.0
-    assert res.residual_inf == 0.0
+    f = np.zeros(w.shape)
+    u = solve_poisson(L, f, w)
+    assert np.max(np.abs(u)) == 0.0
+    assert _residual(L, u, f, w) == 0.0
 
 
 def test_poisson_double_cumsum_oracle():
     L = preset_operator("laplacian", 1)
     w = Window(L.scaling, 1.0, (-16,), (16,))
     f = draw_source(member_rng(3, 0), w)
-    res = solve_poisson(L, f, w)
-    assert res.residual_inf <= 1e-10
+    u = solve_poisson(L, f, w)
+    assert _residual(L, u, f, w) <= 1e-10
     # double cumulative sum solves the second difference up to an affine part
     g = np.cumsum(np.cumsum(f))
     v = np.zeros_like(f)
     v[1:] = g[:-1]
-    diff = res.u - v
+    diff = u - v
     second = diff[2:] - 2 * diff[1:-1] + diff[:-2]
     assert np.max(np.abs(second)) <= 1e-10
 
@@ -44,8 +51,8 @@ def test_poisson_eps_sweep_residual():
     for eps in (1.0, 0.5, 0.25):
         w = Window(L.scaling, eps, (-8, -8), (8, 8))
         f = draw_source(member_rng(9, 1), w)
-        res = solve_poisson(L, f, w)
-        assert res.residual_inf <= 1e-8 * max(1.0, float(np.max(np.abs(f))))
+        u = solve_poisson(L, f, w)
+        assert _residual(L, u, f, w) <= 1e-8 * max(1.0, float(np.max(np.abs(f))))
 
 
 def test_poisson_ill_posed_symbol():
@@ -86,7 +93,7 @@ def test_probe_rescale_invariance():
                            ensemble=1, seed=7)
     L = cfg.validate()
     w = Window(cfg.scaling, 1.0, (-8,), (8,))
-    u = solve_poisson(L, draw_source(member_rng(7, 0), w), w).u
+    u = solve_poisson(L, draw_source(member_rng(7, 0), w), w)
     U = jet_germ(u, w, 1)
     base = schauder_sides(U, L, cfg.eta, cfg.alpha)
     for R in (2.0, 4.0):

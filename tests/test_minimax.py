@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from germcalc._minimax import achieved_value, lp_minimax, solve_minimax, weighted_lstsq
+from germcalc._minimax import achieved_value, lp_minimax, solve_minimax
 
-from polyutil import grid_minimax
+from polyutil import grid_minimax, weighted_lstsq
 
 
 def random_instance(rng, n=None, p=None):

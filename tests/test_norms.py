@@ -14,8 +14,7 @@ from germcalc.germs import Window
 from germcalc.norms import pair_minimax, scaled_test_values, verify_family
 from germcalc.geometry import multi_indices
 from germcalc.norms import (_base_columns, _descending, _factor_modulo_polynomials,
-                            _pair_problem, _poly_columns, _quiet_bounds, _screen_bounds,
-                            _within)
+                            _pair_problem, _poly_columns, _screen_bounds, _within)
 from germcalc._minimax import lp_minimax
 
 from conftest import box, germ_restricted, random_germ
@@ -477,10 +476,12 @@ def test_eta_alpha_screen_matches_pair_oracle(case, kind, complex_values, inner_
     _, _, rho = _factor_modulo_polynomials(U, eta)
     assert (4 * float(np.max(rho)) <= noise) == (kind in ("jet", "frozen", "rank1"))
     rep = seminorm_G_eta_alpha(U, eta, alpha, R=R)
+    if kind == "jet":  # rank 0 modulo polynomials: certified, nothing solved
+        assert rep.value == 0.0 and rep.witness == {}
     oracle = _screen_oracle(U, eta, alpha, R)
-    # pairs at the germ's noise level (fit bound times weight <= 1e-12 sup|U|;
-    # all weights are >= 1 at eps = 1) keep a least-squares bound, and only
-    # the largest of them is solved, so they agree up to that level
+    # pairs whose bound times least weight sits at the noise level
+    # (1e-12 sup|U|; all weights are >= 1 at eps = 1) are never solved, so
+    # the two agree up to that level
     assert abs(rep.value - oracle) <= 1e-12 * oracle + noise
     assert reevaluate_report(rep, U) == rep.value
 
@@ -510,9 +511,9 @@ def test_exact_solve_count_pinned(monkeypatch, scaling, operator, counted):
 @settings(max_examples=30, deadline=None)
 def test_screen_bounds_dominate_pairs(case, kind, R, seed):
     # every screen bound, fitted at the smallest distance of its bucket,
-    # reaches the pair's own value, and its smallest weight is at most the
-    # pair's; pairs that pair_minimax leaves at the noise level report
-    # a least-squares bound of at most noise / (smallest weight)
+    # reaches the pair's own exact value, and its smallest weight is at most
+    # the pair's; below noise / (smallest weight) a value is rounding, which
+    # the semi-norm never solves, so the bound need not reach it there
     s, eta = Scaling(case[0]), case[3]
     alpha = eta / 3
     U = _oracle_germ(kind, Window(s, 1.0, case[1], case[2]), eta, False, False,
@@ -565,32 +566,43 @@ def test_descending_is_the_lexsort_order(seed, n, kind, infs, nans):
                                   ((1,), (-6,), (6,), 2.5, 4.5),
                                   ((1, 1), (-2, -1), (2, 1), 1.5, None),
                                   ((2, 1), (-2, -2), (2, 2), 1.5, 2.5)])
-def test_quiet_bounds_dominate_exact_values(case):
-    # rank-0 table: integer polynomial rows plus a perturbation that puts the
-    # bound on every pair's spread just under the noise level.  Every bound
-    # must reach the exact minimax value of its pair, which the polynomial
-    # rows do not change; HiGHS solves the perturbation alone, normalized
+def test_quiet_bounds_dominate_exact_values(monkeypatch, case):
+    # rank-0 certificate: integer polynomial rows plus a perturbation that
+    # puts the largest bound on a pair's spread just under the noise level.
+    # The semi-norm reports 0 with an empty witness, which is sound when
+    # every pair's exact value, which the polynomial rows do not change, is
+    # at most noise / (that pair's least weight); HiGHS solves the
+    # perturbation alone, normalized.  At 1.2 times the threshold the table
+    # is not certified, so the screen runs
     s, lo, hi, eta, R = Scaling(case[0]), case[1], case[2], case[3], case[4]
     alpha = eta / 3
     rng = np.random.default_rng(11)
     w = Window(s, 1.0, lo, hi)
     P = _poly_columns(w.coords(), multi_indices(s, math.floor(eta)))
     poly = rng.integers(-3, 4, size=(w.npoints, P.shape[1])) @ P.T
+    Dxy = s.pairwise_distance(w.coords(), w.coords())
+    xs, ys = np.nonzero((Dxy > 0) & (Dxy < (R or np.inf)))
+    assert xs.size
     pert = rng.standard_normal(poly.shape)
     spread = None
     for _ in range(2):  # the spread is linear in the perturbation size
         pert *= 0.95 * 1e-12 * np.max(np.abs(poly)) / (spread or 1.0)
         U = Germ(w, w, poly + pert)
-        coef, psi, rho = factor = _factor_modulo_polynomials(U, eta)
-        spread = 2 * float(np.ptp(coef) * np.max(np.abs(psi)) + 2 * np.max(rho))
+        coef, psi, rho = _factor_modulo_polynomials(U, eta)
+        spread = 2 * float(np.max(np.abs(coef[xs] - coef[ys]) * np.max(np.abs(psi)) +
+                                  rho[xs] + rho[ys]))
     noise = 1e-12 * float(np.max(np.abs(U.values)))
     assert 0.9 * noise <= spread <= noise
-    Dxy = s.pairwise_distance(w.coords(), w.coords())
-    pairs = (Dxy > 0) & (Dxy < (R or np.inf))
-    ub, _, xs, ys = _quiet_bounds(U, Dxy, pairs, eta, alpha, R, factor, noise)
-    assert xs.size > 0
+    screens = []
+    screen = norms._screen_bounds
+    monkeypatch.setattr(norms, "_screen_bounds",
+                        lambda *a, **k: screens.append(a) or screen(*a, **k))
+    rep = seminorm_G_eta_alpha(U, eta, alpha, R)
+    assert (rep.value, rep.witness, screens) == (0.0, {}, [])
     exact_pert = Germ(w, w, U.values - poly)  # exact: Sterbenz
-    for bound, xf, yf in zip(ub, xs, ys):
+    for xf, yf in zip(xs, ys):
         Phi, r, wts = _pair_problem(exact_pert, int(xf), int(yf), eta, alpha, R)
         scale = float(np.max(np.abs(r)))
-        assert bound >= lp_minimax(Phi, r / scale, wts)[0] * scale * (1 - 1e-6)
+        assert lp_minimax(Phi, r / scale, wts)[0] * scale <= noise / float(np.min(wts))
+    seminorm_G_eta_alpha(Germ(w, w, poly + pert * (1.2 * noise / spread)), eta, alpha, R)
+    assert len(screens) == 1
